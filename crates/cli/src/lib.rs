@@ -296,10 +296,14 @@ numbers. submit forwards --k/--budgets on the wire; infeasible budgets
 fail the job with a typed message.
 --threads fans the runs of iterative methods over N worker threads
 (0 = auto-detect); the result is bit-identical to the sequential run.
+With --k, sibling subtrees of the recursion run concurrently over all
+CPUs by default; --threads N caps subtrees and runs at N threads in all,
+and the k-way result is identical at every count.
 For --method ml, --threads instead parallelizes *inside* each V-cycle
 (deterministic coarsening + synchronous-round refinement; the result is
 bit-identical at every thread count, but differs from the sequential
-engine, which uses the classic algorithms).
+engine, which uses the classic algorithms); k-way subtrees then run one
+at a time.
 The ml method takes --ml-coarsest, --ml-starts, --ml-max-net,
 --ml-refine-passes, --ml-polish, and --ml-threads V-cycle knobs
 (partition and submit; --ml-threads N = intra-run workers, 0 = classic
@@ -967,23 +971,30 @@ pub fn run_method_ml(
 /// Builds the 2-way engine the recursive k-way driver recurses with,
 /// mirroring [`run_method_ml`]'s dispatch; one-shot global methods have
 /// no `improve` step to recurse with and are rejected. Returns the
-/// engine and the run-harness policy: `ml` routes `--threads` to the
-/// intra-run workers and keeps the runs sequential, exactly like the
-/// 2-way path.
+/// engine and the driver's policy, which fans out both the sibling
+/// subtrees and each bisection's runs: every CPU without `--threads`,
+/// at most `N` with it. `ml` routes `--threads` (or `--ml-threads`) to
+/// the intra-run workers instead and then keeps the driver sequential,
+/// because those workers already use the cores.
 fn kway_engine(
     method: &str,
     seed: u64,
-    policy: ParallelPolicy,
+    threads: Option<usize>,
     ml: MultilevelConfig,
 ) -> Result<(Box<dyn Partitioner>, ParallelPolicy), CliError> {
+    let policy = match threads {
+        None => ParallelPolicy::Auto,
+        Some(_) => thread_policy(threads),
+    };
     if method == "ml" {
-        let intra = if matches!(policy, ParallelPolicy::Sequential) {
-            ml.intra
-        } else {
-            policy
-        };
+        let intra = if threads.is_some() { policy } else { ml.intra };
         let engine = Multilevel::standard(MultilevelConfig { seed, intra, ..ml });
-        return Ok((Box::new(engine), ParallelPolicy::Sequential));
+        let policy = if matches!(intra, ParallelPolicy::Sequential) {
+            ParallelPolicy::Auto
+        } else {
+            ParallelPolicy::Sequential
+        };
+        return Ok((Box::new(engine), policy));
     }
     let engine: Box<dyn Partitioner> = match method {
         "prop" => Box::new(Prop::new(PropConfig::calibrated())),
@@ -1023,7 +1034,7 @@ pub fn run_kway(
     threads: Option<usize>,
     ml: MultilevelConfig,
 ) -> Result<KwayPartition, CliError> {
-    let (engine, policy) = kway_engine(method, seed, thread_policy(threads), ml)?;
+    let (engine, policy) = kway_engine(method, seed, threads, ml)?;
     let config = KwayConfig {
         k,
         budgets,

@@ -39,11 +39,12 @@
 use crate::balance::BalanceConstraint;
 use crate::cancel::CancelToken;
 use crate::error::PartitionError;
-use crate::parallel::{ParallelPolicy, RunStatus};
+use crate::parallel::{join_profiled, spawn_profiled, ParallelPolicy, RunStatus};
 use crate::partition::{Bipartition, Side, SideWeights};
 use crate::partitioner::{ImproveStats, Partitioner};
 use crate::seed::salted_stream_seed;
 use prop_netlist::{Hypergraph, NetId, NodeId};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Stream-family salt of the per-recursion-node harness seeds (see
 /// [`crate::seed::salted_stream_seed`]); the index is the node's path.
@@ -310,24 +311,17 @@ pub fn partition_kway_cancellable<P: Partitioner + ?Sized>(
         }
     }
 
-    let mut assignment = vec![0u32; n];
-    let mut state = DriveState {
-        total_passes: 0,
-        cancelled: false,
-    };
-    let all: Vec<NodeId> = graph.nodes().collect();
-    drive(
+    let slots: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let run = Drive {
         graph,
         engine,
         config,
         token,
-        &all,
-        0,
-        k,
-        1,
-        &mut assignment,
-        &mut state,
-    )?;
+        assignment: &slots,
+    };
+    let workers = config.policy.worker_count(usize::MAX);
+    let tree = drive(&run, graph.nodes().collect(), 0, k, 1, workers, false)?;
+    let assignment: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
 
     // Assemble per-part weights in node order (the oracle's order).
     let mut part_weights = vec![0.0; k];
@@ -350,60 +344,86 @@ pub fn partition_kway_cancellable<P: Partitioner + ?Sized>(
             k,
             part_weights,
         },
-        status: if state.cancelled {
+        status: if tree.cancelled {
             RunStatus::Cancelled
         } else {
             RunStatus::Completed
         },
-        total_passes: state.total_passes,
+        total_passes: tree.passes,
     })
 }
 
-/// Mutable bookkeeping threaded through the recursion.
-struct DriveState {
-    total_passes: usize,
+/// The read-only context of one k-way run, shared by every recursion
+/// node and every subtree thread.
+struct Drive<'a, P: ?Sized> {
+    graph: &'a Hypergraph,
+    engine: &'a P,
+    config: &'a KwayConfig,
+    token: &'a CancelToken,
+    /// One slot per node of `graph`. Recursion nodes own disjoint node
+    /// sets, so concurrent subtrees never write the same slot, and the
+    /// scope join orders every write before the final read.
+    assignment: &'a [AtomicU32],
+}
+
+/// What one recursion subtree reports back to its parent.
+struct Subtree {
+    /// Engine passes over every bisection of the subtree.
+    passes: usize,
     /// Sticky: set on the first tripped poll (or early-stopped engine
-    /// report); every later group is packed instead of bisected.
+    /// report); every later group of the subtree is packed instead of
+    /// bisected.
     cancelled: bool,
 }
 
 /// One recursion node: bisect `nodes` into the part range
 /// `first .. first + k`, where `path` identifies the node in the
-/// recursion tree (root 1, children `2·path` / `2·path + 1`).
-#[allow(clippy::too_many_arguments)] // a flat recursion frame
+/// recursion tree (root 1, children `2·path` / `2·path + 1`) and
+/// `workers` is the subtree's thread budget. `cancelled` is the sticky
+/// flag handed down from the parent (or the left sibling).
 fn drive<P: Partitioner + ?Sized>(
-    graph: &Hypergraph,
-    engine: &P,
-    config: &KwayConfig,
-    token: &CancelToken,
-    nodes: &[NodeId],
+    run: &Drive<'_, P>,
+    nodes: Vec<NodeId>,
     first: u32,
     k: usize,
     path: u64,
-    assignment: &mut [u32],
-    state: &mut DriveState,
-) -> Result<(), PartitionError> {
+    workers: usize,
+    mut cancelled: bool,
+) -> Result<Subtree, PartitionError> {
+    let Drive {
+        graph,
+        engine,
+        config,
+        token,
+        assignment,
+    } = *run;
+    let done = |cancelled| {
+        Ok(Subtree {
+            passes: 0,
+            cancelled,
+        })
+    };
     if nodes.is_empty() {
-        return Ok(());
+        return done(cancelled);
     }
     if k == 1 {
-        for &v in nodes {
-            assignment[v.index()] = first;
+        for v in nodes {
+            assignment[v.index()].store(first, Ordering::Relaxed);
         }
-        return Ok(());
+        return done(cancelled);
     }
     if token.is_cancelled() {
-        state.cancelled = true;
+        cancelled = true;
     }
     let part_budgets = config
         .budgets
         .as_deref()
         .map(|b| &b[first as usize..first as usize + k]);
-    if state.cancelled || nodes.len() <= 3 {
+    if cancelled || nodes.len() <= 3 {
         // Cancelled, or too small to bisect meaningfully: deterministic
         // worst-fit-decreasing packing into the remaining parts.
         pack_parts(graph, nodes, first, k, part_budgets, assignment);
-        return Ok(());
+        return done(cancelled);
     }
 
     // The root works on `graph` directly: an induced subgraph of all
@@ -411,9 +431,9 @@ fn drive<P: Partitioner + ?Sized>(
     // breaking the k = 2 byte-identity with the plain bipartition path.
     let root = path == 1 && nodes.len() == graph.num_nodes();
     let (holder, back) = if root {
-        (None, nodes.to_vec())
+        (None, nodes)
     } else {
-        let (s, b) = graph.induced_subgraph(nodes);
+        let (s, b) = graph.induced_subgraph(&nodes);
         (Some(s), b)
     };
     let sub: &Hypergraph = holder.as_ref().unwrap_or(graph);
@@ -425,6 +445,8 @@ fn drive<P: Partitioner + ?Sized>(
     } else {
         salted_stream_seed(config.seed, KWAY_SEED_SALT, path)
     };
+    // The harness fans this node's runs over the subtree's budget.
+    let policy = ParallelPolicy::Threads(workers);
 
     let report;
     let caps;
@@ -448,14 +470,8 @@ fn drive<P: Partitioner + ?Sized>(
             // outside an asymmetric window; the shim deterministically
             // repairs each start before the engine sees it.
             let shim = Repaired { inner: engine };
-            report = shim.run_multi_cancellable(
-                sub,
-                balance,
-                config.runs,
-                node_seed,
-                config.policy,
-                token,
-            )?;
+            report =
+                shim.run_multi_cancellable(sub, balance, config.runs, node_seed, policy, token)?;
             caps = Some((balance, cap_a, cap_b));
         }
         None => {
@@ -476,15 +492,15 @@ fn drive<P: Partitioner + ?Sized>(
                 balance,
                 config.runs,
                 node_seed,
-                config.policy,
+                policy,
                 token,
             )?;
             caps = None;
         }
     }
-    state.total_passes += report.result.total_passes;
+    let passes = report.result.total_passes;
     if report.status == RunStatus::Cancelled {
-        state.cancelled = true;
+        cancelled = true;
     }
     let mut partition = report.result.partition;
     if let Some((balance, cap_a, cap_b)) = caps {
@@ -518,36 +534,57 @@ fn drive<P: Partitioner + ?Sized>(
             right.push(back[v.index()]);
         }
     }
+    // Nothing of this frame is needed below it: free the subgraph, its
+    // back map and the bisection before the children run.
+    drop((holder, back, partition));
     // Budgeted halves are anchored to their part ranges (side A was
     // capped by the left group's budgets); uniform uneven splits hand
     // the heavier side the larger part count, as before.
     if caps.is_none() && k_left != k_right && weight[1] > weight[0] {
         std::mem::swap(&mut left, &mut right);
     }
-    drive(
-        graph,
-        engine,
-        config,
-        token,
-        &left,
-        first,
-        k_left,
-        2 * path,
-        assignment,
-        state,
-    )?;
-    drive(
-        graph,
-        engine,
-        config,
-        token,
-        &right,
-        first + k_left as u32,
-        k_right,
-        2 * path + 1,
-        assignment,
-        state,
-    )
+    let (left_path, right_path) = (2 * path, 2 * path + 1);
+    let right_first = first + k_left as u32;
+    let (l, r) = if workers >= 2 && k_right >= 2 {
+        // Both children bisect: run them concurrently on split budgets.
+        // Errors resolve left first, so the caller sees the error a
+        // sequential run returns.
+        let (w_left, w_right) = (workers.div_ceil(2), workers / 2);
+        let (l, r) = std::thread::scope(|scope| {
+            let r = spawn_profiled(scope, || {
+                drive(
+                    run,
+                    right,
+                    right_first,
+                    k_right,
+                    right_path,
+                    w_right,
+                    cancelled,
+                )
+            });
+            let l = drive(run, left, first, k_left, left_path, w_left, cancelled);
+            (l, join_profiled(r))
+        });
+        (l?, r?)
+    } else {
+        // In sequence, a cancellation in the left subtree also packs the
+        // right one.
+        let l = drive(run, left, first, k_left, left_path, workers, cancelled)?;
+        let r = drive(
+            run,
+            right,
+            right_first,
+            k_right,
+            right_path,
+            workers,
+            l.cancelled,
+        )?;
+        (l, r)
+    };
+    Ok(Subtree {
+        passes: passes + l.passes + r.passes,
+        cancelled: l.cancelled || r.cancelled,
+    })
 }
 
 /// Deterministic worst-fit-decreasing packing of `nodes` into the part
@@ -557,11 +594,11 @@ fn drive<P: Partitioner + ?Sized>(
 /// the group weight in uniform mode.
 fn pack_parts(
     graph: &Hypergraph,
-    nodes: &[NodeId],
+    mut nodes: Vec<NodeId>,
     first: u32,
     k: usize,
     budgets: Option<&[f64]>,
-    assignment: &mut [u32],
+    assignment: &[AtomicU32],
 ) {
     let mut remaining: Vec<f64> = match budgets {
         Some(b) => b.to_vec(),
@@ -570,9 +607,8 @@ fn pack_parts(
             vec![w / k as f64; k]
         }
     };
-    let mut order: Vec<NodeId> = nodes.to_vec();
-    sort_by_weight_desc(graph, &mut order);
-    for v in order {
+    sort_by_weight_desc(graph, &mut nodes);
+    for v in nodes {
         let mut best = 0;
         for part in 1..k {
             if remaining[part] > remaining[best] {
@@ -580,7 +616,7 @@ fn pack_parts(
             }
         }
         remaining[best] -= graph.node_weight(v);
-        assignment[v.index()] = first + best as u32;
+        assignment[v.index()].store(first + best as u32, Ordering::Relaxed);
     }
 }
 
@@ -917,6 +953,43 @@ mod tests {
         for w in report.partition.part_weights() {
             assert!(*w <= 70.0 + 1e-9, "{:?}", report.partition.part_weights());
         }
+    }
+
+    #[test]
+    fn a_subtree_thread_panic_is_re_raised_with_its_payload() {
+        // Panics only off the test thread, i.e. inside the right subtree's
+        // worker; the left subtree runs on the calling thread.
+        struct PanicsOnWorkers;
+        impl Partitioner for PanicsOnWorkers {
+            fn name(&self) -> &str {
+                "panics-on-workers"
+            }
+            fn improve(
+                &self,
+                graph: &Hypergraph,
+                partition: &mut Bipartition,
+                balance: BalanceConstraint,
+            ) -> ImproveStats {
+                if std::thread::current().name().is_none() {
+                    panic!("subtree worker failed");
+                }
+                prop().improve(graph, partition, balance)
+            }
+        }
+        let g = circuit(11);
+        let config = KwayConfig {
+            runs: 1,
+            policy: ParallelPolicy::Threads(2),
+            ..KwayConfig::new(4)
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            partition_kway(&g, &PanicsOnWorkers, &config)
+        }))
+        .expect_err("the right subtree's panic must reach the caller");
+        assert_eq!(
+            caught.downcast_ref::<&str>(),
+            Some(&"subtree worker failed")
+        );
     }
 
     #[test]

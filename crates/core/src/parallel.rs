@@ -24,10 +24,12 @@ use crate::cut::CutState;
 use crate::error::PartitionError;
 use crate::partition::Bipartition;
 use crate::partitioner::{Partitioner, RunResult};
+use crate::prof::{self, ProfSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// How many worker threads a multi-start invocation may use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -57,6 +59,49 @@ impl ParallelPolicy {
     }
 }
 
+/// Spawns `f` on a scoped worker thread that hands its
+/// [`prof`](crate::prof) counters back with its result; pair it with
+/// [`join_profiled`].
+pub(crate) fn spawn_profiled<'scope, T, F>(
+    scope: &'scope Scope<'scope, '_>,
+    f: F,
+) -> ScopedJoinHandle<'scope, (T, ProfSnapshot)>
+where
+    T: Send + 'scope,
+    F: FnOnce() -> T + Send + 'scope,
+{
+    scope.spawn(move || {
+        let out = f();
+        (out, prof::snapshot())
+    })
+}
+
+/// Joins a worker started by [`spawn_profiled`]: folds its counters into
+/// the calling thread's and re-raises its panic with the original
+/// payload.
+pub(crate) fn join_profiled<T>(handle: ScopedJoinHandle<'_, (T, ProfSnapshot)>) -> T {
+    match handle.join() {
+        Ok((out, counters)) => {
+            prof::absorb(&counters);
+            out
+        }
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
+}
+
+/// Runs `worker` on `workers` scoped threads and joins them in spawn
+/// order through [`join_profiled`].
+fn run_workers<F: Fn() + Sync>(workers: usize, worker: F) {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| spawn_profiled(scope, &worker))
+            .collect();
+        for handle in handles {
+            join_profiled(handle);
+        }
+    });
+}
+
 /// Deterministic chunked map: the backbone of *intra-run* parallelism.
 ///
 /// Splits `0..n` into fixed-size chunks of `chunk` items — the chunk
@@ -74,7 +119,8 @@ impl ParallelPolicy {
 ///
 /// With one worker (or one chunk) everything runs on the calling thread
 /// in chunk order with a single scratch, which also keeps the
-/// thread-local [`cancel`] and [`prof`](crate::prof) slots visible.
+/// thread-local [`cancel`] slot visible. Worker threads' [`prof`] counters
+/// are folded into the caller's at the join.
 pub fn map_chunks_with<S, T, F, I>(
     policy: ParallelPolicy,
     n: usize,
@@ -97,19 +143,15 @@ where
     }
     let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        break;
-                    }
-                    let out = f(&mut scratch, c, range_of(c));
-                    *slots[c].lock().expect("chunk slot poisoned") = Some(out);
-                }
-            });
+    run_workers(workers, || {
+        let mut scratch = init();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                break;
+            }
+            let out = f(&mut scratch, c, range_of(c));
+            *slots[c].lock().expect("chunk slot poisoned") = Some(out);
         }
     });
     slots
@@ -326,17 +368,13 @@ pub(crate) fn run_multi_parallel<P: Partitioner + ?Sized>(
         let slots: Vec<Mutex<Option<RunOutcome>>> =
             (0..runs).map(|_| Mutex::new(None)).collect();
         let next_run = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let r = next_run.fetch_add(1, Ordering::Relaxed);
-                    if r >= runs {
-                        break;
-                    }
-                    let outcome = execute_run(partitioner, graph, balance, base_seed, r);
-                    *slots[r].lock().expect("run slot poisoned") = Some(outcome);
-                });
+        run_workers(workers, || loop {
+            let r = next_run.fetch_add(1, Ordering::Relaxed);
+            if r >= runs {
+                break;
             }
+            let outcome = execute_run(partitioner, graph, balance, base_seed, r);
+            *slots[r].lock().expect("run slot poisoned") = Some(outcome);
         });
         slots
             .into_iter()
@@ -423,22 +461,18 @@ pub(crate) fn run_multi_cancellable<P: Partitioner + ?Sized>(
         let slots: Vec<Mutex<Option<RunOutcome>>> =
             (0..runs).map(|_| Mutex::new(None)).collect();
         let next_run = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if token.is_cancelled() {
-                        break;
-                    }
-                    let r = next_run.fetch_add(1, Ordering::Relaxed);
-                    if r >= runs {
-                        break;
-                    }
-                    let outcome = cancel::scope(token, || {
-                        execute_run(partitioner, graph, balance, base_seed, r)
-                    });
-                    *slots[r].lock().expect("run slot poisoned") = Some(outcome);
-                });
+        run_workers(workers, || loop {
+            if token.is_cancelled() {
+                break;
             }
+            let r = next_run.fetch_add(1, Ordering::Relaxed);
+            if r >= runs {
+                break;
+            }
+            let outcome = cancel::scope(token, || {
+                execute_run(partitioner, graph, balance, base_seed, r)
+            });
+            *slots[r].lock().expect("run slot poisoned") = Some(outcome);
         });
         // Claims are a contiguous prefix (one atomic counter), and every
         // claimed run parks an outcome before its worker moves on.

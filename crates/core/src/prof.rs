@@ -6,10 +6,13 @@
 //! `#[inline(always)]` function over a zero-sized [`Tick`], and the
 //! optimizer erases the call sites entirely.
 //!
-//! With the feature on, counters are **thread-local** — each worker of a
-//! parallel multi-start accumulates its own snapshot, so profiled
-//! benchmarking should run single-threaded to see the whole picture
-//! (`bench_snapshot --profile` enforces this).
+//! With the feature on, counters are **thread-local**: each worker thread
+//! accumulates its own snapshot, and every parallel join in `prop-core`
+//! (the multi-start harness, [`map_chunks`](crate::map_chunks) and the
+//! k-way subtree split) folds its workers' snapshots into the joining
+//! thread with [`absorb`]. Counts are therefore the same at every worker
+//! count; the `*_ns` timers sum worker time, so they exceed wall time
+//! when workers overlap.
 
 /// A hot-path phase of the PROP pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,6 +104,53 @@ impl ProfSnapshot {
     /// Total nanoseconds of the multilevel overlay phases.
     pub fn ml_total_ns(&self) -> u64 {
         self.ml_coarsen_ns + self.ml_initial_ns + self.ml_project_ns + self.ml_refine_ns
+    }
+
+    /// Adds every counter of `other` into `self`.
+    pub fn merge(&mut self, other: &ProfSnapshot) {
+        // Destructured so a new field cannot be left out of the sum.
+        let ProfSnapshot {
+            seed_ns,
+            refine_ns,
+            select_ns,
+            apply_ns,
+            refresh_ns,
+            moves,
+            net_recomputes,
+            gain_recomputes,
+            ml_coarsen_ns,
+            ml_initial_ns,
+            ml_project_ns,
+            ml_refine_ns,
+            ml_levels,
+            sync_rounds,
+            sync_candidates,
+            sync_committed,
+            match_rounds,
+            flow_corridors,
+            flow_augments,
+            flow_accepted,
+        } = *other;
+        self.seed_ns += seed_ns;
+        self.refine_ns += refine_ns;
+        self.select_ns += select_ns;
+        self.apply_ns += apply_ns;
+        self.refresh_ns += refresh_ns;
+        self.moves += moves;
+        self.net_recomputes += net_recomputes;
+        self.gain_recomputes += gain_recomputes;
+        self.ml_coarsen_ns += ml_coarsen_ns;
+        self.ml_initial_ns += ml_initial_ns;
+        self.ml_project_ns += ml_project_ns;
+        self.ml_refine_ns += ml_refine_ns;
+        self.ml_levels += ml_levels;
+        self.sync_rounds += sync_rounds;
+        self.sync_candidates += sync_candidates;
+        self.sync_committed += sync_committed;
+        self.match_rounds += match_rounds;
+        self.flow_corridors += flow_corridors;
+        self.flow_augments += flow_augments;
+        self.flow_accepted += flow_accepted;
     }
 }
 
@@ -204,6 +254,12 @@ mod imp {
     pub fn snapshot() -> ProfSnapshot {
         PROF.with(|p| *p.borrow())
     }
+
+    /// Folds `other` (a finished worker thread's counters) into this
+    /// thread's.
+    pub fn absorb(other: &ProfSnapshot) {
+        PROF.with(|p| p.borrow_mut().merge(other));
+    }
 }
 
 #[cfg(not(feature = "prof"))]
@@ -262,10 +318,14 @@ mod imp {
     pub fn snapshot() -> ProfSnapshot {
         ProfSnapshot::default()
     }
+
+    /// Folds a worker thread's counters into this thread's (no-op).
+    #[inline(always)]
+    pub fn absorb(_other: &ProfSnapshot) {}
 }
 
 pub use imp::{
-    count_flow_round, count_gain_recompute, count_match_round, count_ml_level, count_move,
+    absorb, count_flow_round, count_gain_recompute, count_match_round, count_ml_level, count_move,
     count_net_recompute, count_sync_round, reset, snapshot, start, stop, Tick,
 };
 
@@ -284,6 +344,44 @@ mod tests {
             ..ProfSnapshot::default()
         };
         assert_eq!(s.total_ns(), 15);
+    }
+
+    #[test]
+    fn merge_adds_field_by_field() {
+        let a = ProfSnapshot {
+            seed_ns: 1,
+            moves: 2,
+            ml_levels: 3,
+            flow_accepted: 4,
+            ..ProfSnapshot::default()
+        };
+        let mut sum = a;
+        sum.merge(&a);
+        assert_eq!(sum.seed_ns, 2);
+        assert_eq!(sum.moves, 4);
+        assert_eq!(sum.ml_levels, 6);
+        assert_eq!(sum.flow_accepted, 8);
+        sum.merge(&ProfSnapshot::default());
+        assert_eq!(sum.moves, 4);
+    }
+
+    #[cfg(feature = "prof")]
+    #[test]
+    fn absorb_folds_a_worker_snapshot() {
+        reset();
+        count_move();
+        let worker = std::thread::spawn(|| {
+            count_move();
+            count_ml_level();
+            snapshot()
+        })
+        .join()
+        .unwrap();
+        absorb(&worker);
+        let s = snapshot();
+        assert_eq!(s.moves, 2);
+        assert_eq!(s.ml_levels, 1);
+        reset();
     }
 
     #[cfg(feature = "prof")]

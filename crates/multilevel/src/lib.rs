@@ -448,7 +448,7 @@ impl<P: Partitioner> Multilevel<P> {
         let cfg = &self.config;
 
         // Phase 1: coarsen.
-        let (levels, mut cancelled) = self.coarsen_all(graph, seed);
+        let (mut levels, mut cancelled) = self.coarsen_all(graph, seed);
 
         // Phase 2: partition the coarsest circuit. The inner improver runs
         // from several greedy weight-balanced starts; each start draws
@@ -492,21 +492,24 @@ impl<P: Partitioner> Multilevel<P> {
         // Phase 3: uncoarsen and refine level by level. A cancellation
         // trip stops refining but keeps projecting: projection is
         // cut-exact, so the partial result stays an honest partition of
-        // the input circuit.
+        // the input circuit. Each level is popped and dropped once it has
+        // been projected through, so the refinement of a level runs with
+        // no coarser graph or map resident — the finest one with none.
         let mut level_cuts = Vec::with_capacity(levels.len() + 1);
         level_cuts.push(coarsest_cut);
-        for i in (0..levels.len()).rev() {
+        while let Some(level) = levels.pop() {
             let tick = prof::start();
-            partition = levels[i].project(&partition);
+            partition = level.project(&partition);
             prof::stop(Phase::MlProject, tick);
+            drop(level);
             if cancel::requested() {
                 cancelled = true;
             }
             if cancelled {
                 continue;
             }
-            let fine: &Hypergraph = if i == 0 { graph } else { &levels[i - 1].coarse };
-            let fine_balance = if i == 0 {
+            let fine: &Hypergraph = levels.last().map_or(graph, |l| &l.coarse);
+            let fine_balance = if levels.is_empty() {
                 balance
             } else {
                 balance.for_graph(fine)?

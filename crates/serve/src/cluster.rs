@@ -163,8 +163,19 @@ impl BatchState {
     }
 
     fn emit(&self, event: Json) {
+        self.append(event, false);
+    }
+
+    /// Appends `event` and wakes watchers and waiters. A `terminal` event
+    /// also marks the batch done under the same hold of the event-log
+    /// lock, so a reader that sees `done` has also seen the last event
+    /// and no `watch` stream ends without it.
+    fn append(&self, event: Json, terminal: bool) {
         let mut events = self.events.lock().expect("batch event log lock");
         events.push(event);
+        if terminal {
+            self.done.store(true, Ordering::Release);
+        }
         drop(events);
         self.events_cv.notify_all();
     }
@@ -244,9 +255,7 @@ impl BatchState {
             hook();
         }
         *self.final_view.lock().expect("batch final view lock") = Some(view.clone());
-        self.done.store(true, Ordering::Release);
-        self.emit(view);
-        // emit() notifies the condvar, waking watchers and waiters.
+        self.append(view, true);
     }
 }
 
@@ -912,6 +921,52 @@ mod tests {
         batch.seal(json::obj(vec![("event", json::str("done"))]));
         assert!(batch.event(2).is_some());
         assert!(batch.event(3).is_none());
+    }
+
+    #[test]
+    fn watch_streams_always_end_on_the_done_event() {
+        const WATCHERS: usize = 3;
+        for round in 0..2000 {
+            let batch = BatchState::new(
+                round,
+                BatchRequest {
+                    circuit_id: "c".into(),
+                    ..BatchRequest::default()
+                },
+                Vec::new(),
+                Box::new(|| {}),
+            );
+            batch.emit(json::obj(vec![("event", json::str("result"))]));
+            // Watchers replay the log the way `watch` does, released
+            // together with the seal so their reads race it.
+            let start = Arc::new(std::sync::Barrier::new(WATCHERS + 1));
+            let watchers: Vec<_> = (0..WATCHERS)
+                .map(|_| {
+                    let batch = Arc::clone(&batch);
+                    let start = Arc::clone(&start);
+                    thread::spawn(move || {
+                        start.wait();
+                        let mut events = Vec::new();
+                        while let Some(event) = batch.event(events.len()) {
+                            events.push(event);
+                        }
+                        events
+                    })
+                })
+                .collect();
+            assert!(batch.try_finalize());
+            start.wait();
+            batch.seal(json::obj(vec![("event", json::str("done"))]));
+            for watcher in watchers {
+                let events = watcher.join().unwrap();
+                assert_eq!(events.len(), 2, "round {round}: the stream ended early");
+                assert_eq!(
+                    events[1].get("event").and_then(Json::as_str),
+                    Some("done"),
+                    "round {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,10 @@ pub fn execute_with(
 /// The 2-way engine underneath each bisection is exactly the one
 /// [`execute_with`] dispatches, and the driver's sequential run policy
 /// matches it, so a `k = 2` uniform job through this path is
-/// bit-identical to the bipartition path at the same seed.
+/// bit-identical to the bipartition path at the same seed. The driver
+/// stays sequential (no concurrent subtrees) because the daemon's worker
+/// pool already owns its concurrency; the result would be identical at
+/// any policy.
 ///
 /// # Errors
 ///

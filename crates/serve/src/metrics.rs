@@ -111,20 +111,7 @@ impl Metrics {
 
     /// Folds one job's engine-profile snapshot into the totals.
     pub fn record_prof(&self, snapshot: &ProfSnapshot) {
-        let mut total = self.prof.lock().expect("prof totals lock");
-        total.seed_ns += snapshot.seed_ns;
-        total.refine_ns += snapshot.refine_ns;
-        total.select_ns += snapshot.select_ns;
-        total.apply_ns += snapshot.apply_ns;
-        total.refresh_ns += snapshot.refresh_ns;
-        total.moves += snapshot.moves;
-        total.net_recomputes += snapshot.net_recomputes;
-        total.gain_recomputes += snapshot.gain_recomputes;
-        total.ml_coarsen_ns += snapshot.ml_coarsen_ns;
-        total.ml_initial_ns += snapshot.ml_initial_ns;
-        total.ml_project_ns += snapshot.ml_project_ns;
-        total.ml_refine_ns += snapshot.ml_refine_ns;
-        total.ml_levels += snapshot.ml_levels;
+        self.prof.lock().expect("prof totals lock").merge(snapshot);
     }
 
     /// Renders the full `stats` JSON body.

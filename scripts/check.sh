@@ -30,11 +30,15 @@
 #                                   # bench asserting cut(ml --ml-flow) <=
 #                                   # cut(ml) on every suite circuit
 #   scripts/check.sh --kway         # also run the recursive k-way gate:
-#                                   # the k-way oracle + e2e test file, a
+#                                   # the k-way oracle + e2e test file
+#                                   # (plus its prof-counter test), a
 #                                   # CLI k=4 sweep over the suite whose
 #                                   # parts/weights are sanity-checked and
 #                                   # whose budgeted rerun must respect the
-#                                   # caps, and a daemon round-trip whose
+#                                   # caps, a p2 k=8 --assign file that
+#                                   # must be byte-identical at the
+#                                   # default and --threads 1, and a
+#                                   # daemon round-trip whose
 #                                   # k=4 submit twice in a row must be
 #                                   # bit-identical (cut + connectivity +
 #                                   # part_weights + assignment_hash)
@@ -311,6 +315,8 @@ if [[ "$kway" -eq 1 ]]; then
   # cancellation totality, typed infeasibility).
   cargo test -q -p prop-verify kway
   cargo test -q --test kway
+  # Worker threads' prof counters fold back into the caller.
+  cargo test -q --features prof --test kway prof
 
   kway_dir="$(mktemp -d)"
   trap 'rm -rf "$kway_dir"' EXIT
@@ -344,6 +350,16 @@ if [[ "$kway" -eq 1 ]]; then
     fi
     echo "check.sh: $circuit budgeted weights=$weights inside cap=$cap"
   done
+
+  # Concurrent subtrees: the default (every CPU) and --threads 1 (one
+  # subtree at a time) must write byte-identical assignments.
+  ./target/release/prop partition "$kway_dir/p2.hgr" --method prop --k 8 --runs 2 --assign "$kway_dir/p2.auto.part" >/dev/null
+  ./target/release/prop partition "$kway_dir/p2.hgr" --method prop --k 8 --runs 2 --threads 1 --assign "$kway_dir/p2.t1.part" >/dev/null
+  if ! cmp -s "$kway_dir/p2.auto.part" "$kway_dir/p2.t1.part"; then
+    echo "check.sh: k=8 assignment differs between the default and --threads 1" >&2
+    exit 1
+  fi
+  echo "check.sh: p2 k=8 assignment identical at the default and --threads 1"
 
   # The daemon surface: the same k=4 job submitted twice over the wire
   # must be bit-identical in every k-way result field.

@@ -143,6 +143,138 @@ fn multilevel_kway_is_bit_identical_across_intra_worker_counts() {
     }
 }
 
+/// The driver's policies: sequential, fixed budgets that split evenly
+/// and unevenly between sibling subtrees, and every CPU.
+const POLICIES: [ParallelPolicy; 4] = [
+    ParallelPolicy::Sequential,
+    ParallelPolicy::Threads(2),
+    ParallelPolicy::Threads(3),
+    ParallelPolicy::Auto,
+];
+
+#[test]
+fn kway_is_bit_identical_across_subtree_policies() {
+    let graph = circuit(400, 30);
+    let engines: [(&str, Box<dyn Partitioner>); 2] = [
+        ("prop", Box::new(prop())),
+        ("ml", Box::new(ml(ParallelPolicy::Sequential))),
+    ];
+    let cases: [(usize, Option<Vec<f64>>); 4] = [
+        (3, None),
+        (5, None),
+        (8, None),
+        (4, Some(vec![130.0, 110.0, 100.0, 90.0])),
+    ];
+    for (name, engine) in &engines {
+        for (k, budgets) in &cases {
+            let run = |policy| {
+                let config = KwayConfig {
+                    budgets: budgets.clone(),
+                    runs: 2,
+                    seed: 17,
+                    policy,
+                    ..KwayConfig::new(*k)
+                };
+                partition_kway(&graph, engine.as_ref(), &config).unwrap()
+            };
+            let reference = run(ParallelPolicy::Sequential);
+            assert_oracle_exact(&graph, &reference.partition, *k);
+            for policy in POLICIES {
+                let report = run(policy);
+                let case = format!("{name} k={k} budgets={budgets:?} {policy:?}");
+                assert_eq!(
+                    report.partition.assignment(),
+                    reference.partition.assignment(),
+                    "{case}"
+                );
+                assert_eq!(
+                    report.partition.part_weights(),
+                    reference.partition.part_weights(),
+                    "{case}"
+                );
+                assert_eq!(report.total_passes, reference.total_passes, "{case}");
+                assert_eq!(report.status, RunStatus::Completed, "{case}");
+            }
+        }
+    }
+}
+
+/// `n` nodes of weight 3 on a ring of 2-pin nets plus a few chords.
+fn weight_three_ring(n: usize) -> Hypergraph {
+    let mut b = prop_netlist::HypergraphBuilder::new(n);
+    for i in 0..n {
+        b.add_net(1.0, [i, (i + 1) % n]).unwrap();
+        b.add_net(1.0, [i, (i + 7) % n]).unwrap();
+    }
+    b.set_node_weights(vec![3.0; n]).unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn subtree_errors_match_the_sequential_run() {
+    // Budgets that sum to exactly the total weight leave no slack, so
+    // each bisection must fill its caps exactly. A group of five
+    // weight-3 nodes under two 7.5 budgets cannot be split: the root
+    // succeeds and only the 5-node subtrees fail.
+    let cases = [
+        // Only the right subtree (path 3) is infeasible.
+        (weight_three_ring(25), vec![30.0, 30.0, 7.5, 7.5], "path 3"),
+        // Both are: the left subtree's error (path 2) wins.
+        (weight_three_ring(10), vec![7.5; 4], "path 2"),
+    ];
+    for (graph, budgets, path) in cases {
+        let run = |policy| {
+            partition_kway(
+                &graph,
+                &prop(),
+                &KwayConfig {
+                    budgets: Some(budgets.clone()),
+                    runs: 2,
+                    seed: 4,
+                    policy,
+                    ..KwayConfig::new(4)
+                },
+            )
+            .unwrap_err()
+        };
+        let sequential = run(ParallelPolicy::Sequential);
+        assert!(
+            matches!(sequential, PartitionError::InfeasibleBudgets { .. }),
+            "{sequential}"
+        );
+        assert!(sequential.to_string().contains(path), "{sequential}");
+        for policy in POLICIES {
+            assert_eq!(run(policy), sequential, "{policy:?}");
+        }
+    }
+}
+
+/// Worker threads' profile counters are folded into the caller at every
+/// join, so a parallel k-way run counts exactly the work a sequential
+/// one does (`cargo test --features prof --test kway`).
+#[cfg(feature = "prof")]
+#[test]
+fn prof_counters_are_policy_independent() {
+    use prop_core::prof;
+    let graph = circuit(1200, 32);
+    let counts = |policy| {
+        prof::reset();
+        let config = KwayConfig {
+            runs: 2,
+            seed: 8,
+            policy,
+            ..KwayConfig::new(4)
+        };
+        partition_kway(&graph, &ml(ParallelPolicy::Sequential), &config).unwrap();
+        let s = prof::snapshot();
+        prof::reset();
+        [s.ml_levels, s.moves, s.net_recomputes, s.gain_recomputes]
+    };
+    let sequential = counts(ParallelPolicy::Sequential);
+    assert!(sequential[0] > 0 && sequential[1] > 0, "{sequential:?}");
+    assert_eq!(counts(ParallelPolicy::Threads(2)), sequential);
+}
+
 #[test]
 fn k_equals_two_reduces_to_the_existing_bipartition_path() {
     let graph = circuit(220, 25);
@@ -187,20 +319,28 @@ fn k_equals_two_reduces_to_the_existing_bipartition_path() {
 fn cancellation_mid_recursion_yields_a_complete_feasible_assignment() {
     let graph = circuit(800, 26);
     let budgets = vec![220.0; 8]; // generous: 1760 against weight 800
-    let token = CancelToken::new();
-    token.set_timeout(Duration::from_millis(20));
-    let config = KwayConfig {
-        budgets: Some(budgets.clone()),
-        runs: 60,
-        seed: 1,
-        ..KwayConfig::new(8)
-    };
-    let report = partition_kway_cancellable(&graph, &prop(), &config, &token).unwrap();
-    // 60 runs × 7 bisections of an 800-node circuit dwarf a 20 ms
-    // deadline, so the trip lands mid-recursion.
-    assert_eq!(report.status, RunStatus::Cancelled);
-    assert_oracle_exact(&graph, &report.partition, 8);
-    assert!(oracle::check_budgets(report.partition.part_weights(), &budgets));
+
+    // Sequential, and with the two subtrees of the root running at once.
+    for policy in [ParallelPolicy::Sequential, ParallelPolicy::Threads(2)] {
+        let token = CancelToken::new();
+        token.set_timeout(Duration::from_millis(20));
+        let config = KwayConfig {
+            budgets: Some(budgets.clone()),
+            runs: 60,
+            seed: 1,
+            policy,
+            ..KwayConfig::new(8)
+        };
+        let report = partition_kway_cancellable(&graph, &prop(), &config, &token).unwrap();
+        // 60 runs × 7 bisections of an 800-node circuit dwarf a 20 ms
+        // deadline, so the trip lands mid-recursion.
+        assert_eq!(report.status, RunStatus::Cancelled, "{policy:?}");
+        assert_oracle_exact(&graph, &report.partition, 8);
+        assert!(oracle::check_budgets(
+            report.partition.part_weights(),
+            &budgets
+        ));
+    }
 }
 
 #[test]
