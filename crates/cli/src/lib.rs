@@ -38,14 +38,13 @@
 #![warn(missing_docs)]
 
 use prop_core::{
-    partition_kway, BalanceConstraint, GlobalPartitioner, KwayConfig, KwayPartition,
-    ParallelPolicy, Partitioner, Prop, PropConfig, RunResult, Side,
+    partition_kway, BalanceConstraint, KwayConfig, KwayPartition, ParallelPolicy, Partitioner,
+    RunResult, Side,
 };
-use prop_fm::{FmBucket, FmTree, Kl, La, SimulatedAnnealing};
-use prop_multilevel::{Multilevel, MultilevelConfig};
+use prop_engines::{Engine, EngineName, EngineSpec};
+use prop_multilevel::MultilevelConfig;
 use prop_netlist::{format, generate, hgb, suite, Hypergraph};
 use prop_serve::{BatchRequest, Client, ConnectRetry, Json, SubmitRequest, UploadRequest};
-use prop_spectral::{Eig1, MeloStyle, ParaboliStyle, WindowStyle};
 use std::fmt;
 use std::path::Path;
 
@@ -162,7 +161,8 @@ pub enum Command {
         circuit_id: Option<String>,
         /// Daemon address.
         addr: String,
-        /// Engine name (`prop`, `prop-paper`, `fm`, `fm-tree`, `ml`).
+        /// Engine name: any iterative partition method (the daemon
+        /// serves every iterative engine, not the one-shot global ones).
         engine: String,
         /// Multi-start runs.
         runs: usize,
@@ -286,7 +286,8 @@ daemon-local file path instead of the bytes — the route past the request
 cap); submit --circuit-id then sweeps seeds/engines against the stored
 circuit without re-sending it.
 Partition methods: prop (default), prop-paper, fm, fm-tree, la2, la3, kl,
-sa, eig1, melo, paraboli, window, ml.
+sa, eig1, melo, paraboli, window, ml. submit --engine and batch --engines
+take every method except the one-shot eig1, melo, paraboli and window.
 --k K partitions into K parts by recursive bisection (iterative methods
 and ml only); --budgets A1,...,AK caps each part's node weight by an
 absolute area (multi-FPGA style, k-way driver even at K=2). The k-way
@@ -907,6 +908,11 @@ pub fn run_method(
     run_method_ml(method, graph, balance, runs, seed, policy, MultilevelConfig::default())
 }
 
+/// Parses a `--method` name against the engine registry.
+fn parse_method(method: &str) -> Result<EngineName, CliError> {
+    method.parse().map_err(|e: prop_engines::UnknownEngine| usage(e.to_string()))
+}
+
 /// Runs the named method on a graph. Iterative methods fan their runs
 /// out according to `policy`; global (one-shot) methods ignore it. For
 /// `ml` the policy instead parallelizes *inside* each V-cycle
@@ -923,94 +929,65 @@ pub fn run_method_ml(
     balance: BalanceConstraint,
     runs: usize,
     seed: u64,
-    policy: ParallelPolicy,
+    mut policy: ParallelPolicy,
     ml: MultilevelConfig,
 ) -> Result<RunResult, CliError> {
-    if method == "ml" {
+    let mut spec = EngineSpec {
+        name: parse_method(method)?,
+        ml,
+    };
+    if spec.name == EngineName::Ml {
         // --threads routes to the intra-run policy; an explicit
         // --ml-threads (already in `ml.intra`) wins when --threads is
         // absent.
-        let intra = if matches!(policy, ParallelPolicy::Sequential) {
-            ml.intra
-        } else {
-            policy
-        };
-        let engine = Multilevel::standard(MultilevelConfig { seed, intra, ..ml });
-        return engine
-            .run_multi_parallel(graph, balance, runs, seed, ParallelPolicy::Sequential)
-            .map_err(|e| failure(e.to_string()));
+        if policy != ParallelPolicy::Sequential {
+            spec.ml.intra = policy;
+        }
+        policy = ParallelPolicy::Sequential;
     }
-    let iterative: Option<Box<dyn Partitioner>> = match method {
-        "prop" => Some(Box::new(Prop::new(PropConfig::calibrated()))),
-        "prop-paper" => Some(Box::new(Prop::new(PropConfig::default()))),
-        "fm" => Some(Box::new(FmBucket::default())),
-        "fm-tree" => Some(Box::new(FmTree::default())),
-        "la2" => Some(Box::new(La::new(2))),
-        "la3" => Some(Box::new(La::new(3))),
-        "kl" => Some(Box::new(Kl::default())),
-        "sa" => Some(Box::new(SimulatedAnnealing::default())),
-        _ => None,
-    };
-    if let Some(p) = iterative {
-        return p
-            .run_multi_parallel(graph, balance, runs, seed, policy)
-            .map_err(|e| failure(e.to_string()));
+    match spec.build(seed, runs) {
+        Engine::Iterative(engine) => engine.run_multi_parallel(graph, balance, runs, seed, policy),
+        Engine::Global(engine) => engine.partition(graph, balance),
     }
-    let global: Box<dyn GlobalPartitioner> = match method {
-        "eig1" => Box::new(Eig1::default()),
-        "melo" => Box::new(MeloStyle::default()),
-        "paraboli" => Box::new(ParaboliStyle::default()),
-        "window" => Box::new(WindowStyle { runs, seed }),
-        other => return Err(usage(format!("unknown method {other:?}"))),
-    };
-    global
-        .partition(graph, balance)
-        .map_err(|e| failure(e.to_string()))
+    .map_err(|e| failure(e.to_string()))
 }
 
-/// Builds the 2-way engine the recursive k-way driver recurses with,
-/// mirroring [`run_method_ml`]'s dispatch; one-shot global methods have
-/// no `improve` step to recurse with and are rejected. Returns the
-/// engine and the driver's policy, which fans out both the sibling
-/// subtrees and each bisection's runs: every CPU without `--threads`,
-/// at most `N` with it. `ml` routes `--threads` (or `--ml-threads`) to
-/// the intra-run workers instead and then keeps the driver sequential,
-/// because those workers already use the cores.
+/// Builds the 2-way engine the recursive k-way driver recurses with;
+/// one-shot global methods have no `improve` step to recurse with and
+/// are rejected. Returns the engine and the driver's policy, which fans
+/// out both the sibling subtrees and each bisection's runs: every CPU
+/// without `--threads`, at most `N` with it. `ml` routes `--threads` (or
+/// `--ml-threads`) to the intra-run workers instead and then keeps the
+/// driver sequential, because those workers already use the cores.
 fn kway_engine(
     method: &str,
     seed: u64,
     threads: Option<usize>,
     ml: MultilevelConfig,
 ) -> Result<(Box<dyn Partitioner>, ParallelPolicy), CliError> {
-    let policy = match threads {
+    let mut spec = EngineSpec {
+        name: parse_method(method)?,
+        ml,
+    };
+    let mut policy = match threads {
         None => ParallelPolicy::Auto,
         Some(_) => thread_policy(threads),
     };
-    if method == "ml" {
-        let intra = if threads.is_some() { policy } else { ml.intra };
-        let engine = Multilevel::standard(MultilevelConfig { seed, intra, ..ml });
-        let policy = if matches!(intra, ParallelPolicy::Sequential) {
+    if spec.name == EngineName::Ml {
+        if threads.is_some() {
+            spec.ml.intra = policy;
+        }
+        policy = if spec.ml.intra == ParallelPolicy::Sequential {
             ParallelPolicy::Auto
         } else {
             ParallelPolicy::Sequential
         };
-        return Ok((Box::new(engine), policy));
     }
-    let engine: Box<dyn Partitioner> = match method {
-        "prop" => Box::new(Prop::new(PropConfig::calibrated())),
-        "prop-paper" => Box::new(Prop::new(PropConfig::default())),
-        "fm" => Box::new(FmBucket::default()),
-        "fm-tree" => Box::new(FmTree::default()),
-        "la2" => Box::new(La::new(2)),
-        "la3" => Box::new(La::new(3)),
-        "kl" => Box::new(Kl::default()),
-        "sa" => Box::new(SimulatedAnnealing::default()),
-        other => {
-            return Err(usage(format!(
-                "method {other:?} cannot drive k-way recursion (use an iterative method)"
-            )))
-        }
-    };
+    let engine = spec.build(seed, 0).iterative().ok_or_else(|| {
+        usage(format!(
+            "method {method:?} cannot drive k-way recursion (use an iterative method)"
+        ))
+    })?;
     Ok((engine, policy))
 }
 
@@ -1916,10 +1893,7 @@ mod tests {
         )
         .unwrap();
         let balance = BalanceConstraint::new(0.45, 0.55, 40).unwrap();
-        for method in [
-            "prop", "prop-paper", "fm", "fm-tree", "la2", "la3", "kl", "sa", "eig1", "melo",
-            "paraboli", "window", "ml",
-        ] {
+        for method in EngineName::ALL.map(EngineName::as_str) {
             let result =
                 run_method(method, &graph, balance, 2, 0, ParallelPolicy::Sequential).unwrap();
             assert!(result.partition.is_balanced(balance), "{method}");
@@ -1941,6 +1915,20 @@ mod tests {
             }
         }
         assert!(run_method("nope", &graph, balance, 1, 0, ParallelPolicy::Sequential).is_err());
+    }
+
+    #[test]
+    fn usage_names_every_registered_engine() {
+        let methods = USAGE
+            .split_once("Partition methods:")
+            .and_then(|(_, rest)| rest.split_once('.'))
+            .map(|(list, _)| list)
+            .expect("USAGE lists the partition methods");
+        let listed: Vec<&str> = methods
+            .split(',')
+            .map(|m| m.trim().trim_end_matches(" (default)"))
+            .collect();
+        assert_eq!(listed, EngineName::ALL.map(EngineName::as_str));
     }
 
     #[test]

@@ -106,6 +106,57 @@ impl ProfSnapshot {
         self.ml_coarsen_ns + self.ml_initial_ns + self.ml_project_ns + self.ml_refine_ns
     }
 
+    /// Every counter by name, in declaration order: the one list that
+    /// reporting surfaces (daemon `stats`, `bench_snapshot --profile`)
+    /// render from.
+    pub fn fields(&self) -> [(&'static str, u64); 20] {
+        // Destructured so a new field cannot be left out of the list.
+        let ProfSnapshot {
+            seed_ns,
+            refine_ns,
+            select_ns,
+            apply_ns,
+            refresh_ns,
+            moves,
+            net_recomputes,
+            gain_recomputes,
+            ml_coarsen_ns,
+            ml_initial_ns,
+            ml_project_ns,
+            ml_refine_ns,
+            ml_levels,
+            sync_rounds,
+            sync_candidates,
+            sync_committed,
+            match_rounds,
+            flow_corridors,
+            flow_augments,
+            flow_accepted,
+        } = *self;
+        [
+            ("seed_ns", seed_ns),
+            ("refine_ns", refine_ns),
+            ("select_ns", select_ns),
+            ("apply_ns", apply_ns),
+            ("refresh_ns", refresh_ns),
+            ("moves", moves),
+            ("net_recomputes", net_recomputes),
+            ("gain_recomputes", gain_recomputes),
+            ("ml_coarsen_ns", ml_coarsen_ns),
+            ("ml_initial_ns", ml_initial_ns),
+            ("ml_project_ns", ml_project_ns),
+            ("ml_refine_ns", ml_refine_ns),
+            ("ml_levels", ml_levels),
+            ("sync_rounds", sync_rounds),
+            ("sync_candidates", sync_candidates),
+            ("sync_committed", sync_committed),
+            ("match_rounds", match_rounds),
+            ("flow_corridors", flow_corridors),
+            ("flow_augments", flow_augments),
+            ("flow_accepted", flow_accepted),
+        ]
+    }
+
     /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &ProfSnapshot) {
         // Destructured so a new field cannot be left out of the sum.

@@ -24,18 +24,11 @@ pub enum SelectionBackend {
     /// complexity analysis assumes. Every §3.4 refresh pays two O(log n)
     /// pointer-chasing rebalancing walks (remove + insert).
     AvlTree,
-    /// Lazy-deletion binary max-heaps, one per side. A refresh is a single
-    /// contiguous sift-up push; superseded and locked entries are filtered
-    /// by a liveness check when they surface at the top of a query pop.
-    /// The per-move top-k refresh must pop (and restore) its candidates to
-    /// sweep dead entries aside, which is where this backend loses to the
-    /// indexed heap.
-    LazyHeap,
     /// Position-mapped binary max-heaps with eager removal, one per side —
     /// no dead entries, so a reposition is one in-place sift and the §3.4
     /// top-k refresh plus the balance probe are read-only best-first walks
-    /// over the flat array. The default: the cheapest per-move constant of
-    /// the three.
+    /// over the flat array. The default: the cheaper per-move constant of
+    /// the two.
     #[default]
     IndexedHeap,
 }
@@ -91,7 +84,7 @@ pub struct PropConfig {
     pub balance_probe_depth: Option<usize>,
     /// Ordered-gain container used by the move phase. All backends make
     /// bit-identical runs; [`SelectionBackend::IndexedHeap`] (the default)
-    /// has the cheapest per-move constants, the others are kept selectable
+    /// has the cheaper per-move constants, the AVL tree is kept selectable
     /// as the paper's reference structure and for differential testing.
     pub selection: SelectionBackend,
 }

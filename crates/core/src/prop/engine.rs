@@ -29,7 +29,7 @@ use crate::gain::fm_gains;
 use crate::partition::{Bipartition, Side, SideWeights};
 use crate::prof;
 use crate::prop::config::{GainInit, PropConfig, SelectionBackend};
-use prop_dstruct::{AvlTree, IndexedMaxHeap, LazyMaxHeap, OrderedF64, PrefixTracker};
+use prop_dstruct::{AvlTree, IndexedMaxHeap, OrderedF64, PrefixTracker};
 use prop_netlist::{Hypergraph, NetId, NodeId};
 
 /// Selection key: gain first, then a monotonically increasing *recency
@@ -66,7 +66,6 @@ pub struct NetHot {
 /// see [`SelectionBackend`] for the tradeoffs.
 enum GainStore {
     Avl([AvlTree<GainKey>; 2]),
-    Heap([LazyMaxHeap<GainKey>; 2]),
     Indexed([IndexedMaxHeap<GainKey>; 2]),
 }
 
@@ -117,9 +116,6 @@ pub(crate) struct Engine<'a> {
     /// entries, which would invalidate a live traversal). Kept on the
     /// engine so the per-move hot path never allocates.
     topk_scratch: Vec<u32>,
-    /// Reusable buffer of keys popped off a heap during selection probes
-    /// and top-k snapshots, pushed back afterwards.
-    popped_scratch: Vec<GainKey>,
 }
 
 impl<'a> Engine<'a> {
@@ -141,9 +137,6 @@ impl<'a> Engine<'a> {
             .collect();
         let store = match config.selection {
             SelectionBackend::AvlTree => GainStore::Avl([AvlTree::new(), AvlTree::new()]),
-            SelectionBackend::LazyHeap => {
-                GainStore::Heap([LazyMaxHeap::with_capacity(n), LazyMaxHeap::with_capacity(n)])
-            }
             SelectionBackend::IndexedHeap => {
                 GainStore::Indexed([IndexedMaxHeap::with_ids(n), IndexedMaxHeap::with_ids(n)])
             }
@@ -171,7 +164,6 @@ impl<'a> Engine<'a> {
             moves: Vec::with_capacity(n),
             prefix: PrefixTracker::with_capacity(n),
             topk_scratch: Vec::with_capacity(2 * config.top_k_refresh),
-            popped_scratch: Vec::new(),
         }
     }
 
@@ -185,8 +177,7 @@ impl<'a> Engine<'a> {
 
     /// Stamps `v` and inserts its key into side `side_index`'s container,
     /// superseding any key `v` already holds there (the AVL caller removes
-    /// the old key first, the lazy heap's old entry dies by the stamp
-    /// bump, and the indexed heap repositions in place).
+    /// the old key first, the indexed heap repositions in place).
     fn store_insert(&mut self, v: NodeId, side_index: usize) {
         self.next_stamp = self
             .next_stamp
@@ -199,7 +190,6 @@ impl<'a> Engine<'a> {
                 let inserted = trees[side_index].insert(key);
                 debug_assert!(inserted, "duplicate selection key");
             }
-            GainStore::Heap(heaps) => heaps[side_index].push(key),
             GainStore::Indexed(heaps) => {
                 if heaps[side_index].contains(v.index()) {
                     heaps[side_index].update(v.index(), key);
@@ -274,7 +264,6 @@ impl<'a> Engine<'a> {
 
         match &mut self.store {
             GainStore::Avl(trees) => trees.iter_mut().for_each(AvlTree::clear),
-            GainStore::Heap(heaps) => heaps.iter_mut().for_each(LazyMaxHeap::clear),
             GainStore::Indexed(heaps) => heaps.iter_mut().for_each(IndexedMaxHeap::clear),
         }
         // Stamps restart each pass: the stores were just cleared, so no
@@ -486,19 +475,14 @@ impl<'a> Engine<'a> {
     /// descending gain order until a node that fits is found, giving up
     /// after [`PropConfig::balance_probe_depth`] candidates when that
     /// bound is set (unbounded by default, preserving the exact baseline
-    /// choice). On the lazy-heap backend the walk pops live keys and
-    /// pushes them back afterwards; liveness (`unlocked` and carrying the
-    /// node's current stamp) filters superseded entries. On the indexed
-    /// backend the walk is a read-only best-first descent. All backends
-    /// see the identical candidate sequence.
+    /// choice). On the indexed backend the walk is a read-only best-first
+    /// descent. Both backends see the identical candidate sequence.
     fn select_move(&mut self, partition: &Bipartition) -> Option<NodeId> {
         let counts = [partition.count(Side::A), partition.count(Side::B)];
         let weights = self.side_weights.as_array();
         let graph = self.graph;
         let balance = self.balance;
         let probe_limit = self.config.balance_probe_depth.unwrap_or(usize::MAX);
-        let (locked, stamp) = (&self.locked, &self.stamp);
-        let live = |k: &GainKey| !locked[k.2 as usize] && stamp[k.2 as usize] == k.1;
         let mut best: Option<GainKey> = None;
         let consider = |key: GainKey, best: &mut Option<GainKey>| {
             if best.is_none_or(|b| key > b) {
@@ -529,35 +513,6 @@ impl<'a> Engine<'a> {
                             consider(key, &mut best);
                             break;
                         }
-                    }
-                }
-            }
-            GainStore::Heap(heaps) => {
-                let popped = &mut self.popped_scratch;
-                for (si, heap) in heaps.iter_mut().enumerate() {
-                    let side = Side::from_index(si);
-                    if !balance.is_weighted() {
-                        if !balance.allows_move(side, counts[0], counts[1]) {
-                            continue;
-                        }
-                        if let Some(key) = heap.peek_live(live) {
-                            consider(key, &mut best);
-                        }
-                        continue;
-                    }
-                    popped.clear();
-                    while popped.len() < probe_limit {
-                        let Some(key) = heap.pop_live(live) else { break };
-                        popped.push(key);
-                        let v = NodeId::new(key.2 as usize);
-                        if balance.allows_node_move(side, counts, weights, graph.node_weight(v))
-                        {
-                            consider(key, &mut best);
-                            break;
-                        }
-                    }
-                    for &key in popped.iter() {
-                        heap.push(key);
                     }
                 }
             }
@@ -615,9 +570,6 @@ impl<'a> Engine<'a> {
                 let removed = trees[from.index()].remove(&key);
                 debug_assert!(removed, "selected node missing from its tree");
             }
-            // Lazy heap: the entry goes dead through the lock flag below
-            // and is discarded whenever it next surfaces.
-            GainStore::Heap(_) => {}
             GainStore::Indexed(heaps) => {
                 let removed = heaps[from.index()].remove(u.index());
                 debug_assert!(removed.is_some(), "selected node missing from its heap");
@@ -676,26 +628,6 @@ impl<'a> Engine<'a> {
                     GainStore::Avl(trees) => {
                         top.extend(trees[si].iter_desc().take(k).map(|&(_, _, id)| id));
                     }
-                    GainStore::Heap(heaps) => {
-                        // The k best live keys, in the same descending
-                        // order the tree traversal yields, then restored.
-                        // The pops double as garbage collection: they are
-                        // what keeps dead entries from pooling at the top
-                        // of this backend's heaps.
-                        let (locked, stamp) = (&self.locked, &self.stamp);
-                        let live =
-                            |key: &GainKey| !locked[key.2 as usize] && stamp[key.2 as usize] == key.1;
-                        let popped = &mut self.popped_scratch;
-                        popped.clear();
-                        while popped.len() < k {
-                            let Some(key) = heaps[si].pop_live(live) else { break };
-                            popped.push(key);
-                        }
-                        for &key in popped.iter() {
-                            heaps[si].push(key);
-                            top.push(key.2);
-                        }
-                    }
                     GainStore::Indexed(heaps) => {
                         // Read-only best-first walk — no dead entries, no
                         // restore sifts.
@@ -716,20 +648,6 @@ impl<'a> Engine<'a> {
                 }
             }
             self.topk_scratch = top;
-        }
-        // Bound the heaps' dead-entry bloat: past 4x the node count a
-        // query sift-down walks more dead levels than a rebuild costs
-        // amortised, so retain the live entries and re-heapify. The live
-        // set — and therefore every future selection — is unchanged.
-        if let GainStore::Heap(heaps) = &mut self.store {
-            let bound = (4 * self.graph.num_nodes()).max(64);
-            let (locked, stamp) = (&self.locked, &self.stamp);
-            let live = |key: &GainKey| !locked[key.2 as usize] && stamp[key.2 as usize] == key.1;
-            for heap in heaps {
-                if heap.len() > bound {
-                    heap.compact(live);
-                }
-            }
         }
         prof::stop(prof::Phase::Refresh, t);
 
@@ -793,9 +711,7 @@ impl<'a> Engine<'a> {
                 let removed = trees[si].remove(&old_key);
                 debug_assert!(removed, "refreshed node missing from its tree");
             }
-            // Lazy heap: the old entry goes dead through the stamp bump in
-            // `store_insert`. Indexed heap: `store_insert` repositions the
-            // entry in place.
+            // Indexed heap: `store_insert` repositions the entry in place.
             self.gain[x.index()] = new_gain;
             self.store_insert(x, si);
         }
@@ -1049,11 +965,7 @@ mod tests {
         let balance = BalanceConstraint::new(0.45, 0.55, 150).unwrap();
         for seed in 0..4u64 {
             let mut results = Vec::new();
-            for selection in [
-                SelectionBackend::AvlTree,
-                SelectionBackend::LazyHeap,
-                SelectionBackend::IndexedHeap,
-            ] {
+            for selection in [SelectionBackend::AvlTree, SelectionBackend::IndexedHeap] {
                 let mut config = PropConfig::default();
                 config.selection = selection;
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -1070,8 +982,7 @@ mod tests {
                 }
                 results.push((partition, cut.cut_cost(), passes));
             }
-            assert_eq!(results[0], results[1], "avl vs lazy heap, seed {seed}");
-            assert_eq!(results[0], results[2], "avl vs indexed heap, seed {seed}");
+            assert_eq!(results[0], results[1], "avl vs indexed heap, seed {seed}");
         }
     }
 }

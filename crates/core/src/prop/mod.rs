@@ -16,7 +16,7 @@
 //!
 //! Nodes are ranked per side in an ordered gain store keyed by
 //! `(gain, recency, node)` — either the AVL tree the paper's complexity
-//! analysis (§3.5) assumes, or a faster lazy-deletion max-heap producing
+//! analysis (§3.5) assumes, or a faster indexed max-heap producing
 //! bit-identical runs (see [`SelectionBackend`]). Per-net hot state is
 //! packed into [`NetHot`] records so the gain inner loop is one
 //! sequential read per incident net.

@@ -1,13 +1,13 @@
 //! Indexed max-heap: an ordered gain store with *eager* deletion.
 //!
-//! The lazy-deletion heap ([`crate::LazyMaxHeap`]) makes repositioning a
-//! node cheap by leaving the superseded entry behind as garbage — a good
-//! trade as long as every query path is a pop that happens to sweep the
-//! garbage out. It breaks down the moment a hot query wants to *read*
-//! the top of the order without popping (PROP's §3.4 top-k refresh runs
-//! per move): dead entries then pile up exactly where the read happens,
-//! and either the read wades through them or the caller pays `2k`
-//! full-depth sifts per move to pop-and-restore.
+//! A lazy-deletion heap makes repositioning a node cheap by leaving the
+//! superseded entry behind as garbage — a good trade as long as every
+//! query path is a pop that happens to sweep the garbage out. It breaks
+//! down the moment a hot query wants to *read* the top of the order
+//! without popping (PROP's §3.4 top-k refresh runs per move): dead
+//! entries then pile up exactly where the read happens, and either the
+//! read wades through them or the caller pays `2k` full-depth sifts per
+//! move to pop-and-restore (DESIGN.md §10).
 //!
 //! This heap removes the garbage instead of skipping it. A position map
 //! (`id → slot`) makes every entry addressable, so supersession is a

@@ -10,11 +10,9 @@
 //!   tree variant of FM) to order nodes by real-valued gain, giving
 //!   O(log n) updates and descending-order traversal for feasibility
 //!   scans.
-//! * [`IndexedMaxHeap`] / [`LazyMaxHeap`] — two flat-array alternatives
-//!   to the tree for the PROP gain ranking: the indexed heap pairs a
-//!   position map with eager removal (one sift per reposition, read-only
-//!   descending traversal), the lazy heap defers deletions to its query
-//!   pops. See each module's docs for when which wins.
+//! * [`IndexedMaxHeap`] — the flat-array alternative to the tree for the
+//!   PROP gain ranking: a position map with eager removal (one sift per
+//!   reposition, read-only descending traversal). See its module docs.
 //! * [`PrefixTracker`] — the pass bookkeeping shared by FM, LA, and PROP:
 //!   records the immediate gain of every tentative move and finds the
 //!   best balance-feasible prefix to commit.
@@ -30,11 +28,9 @@ mod bucket;
 mod indexed;
 mod ordered;
 mod prefix;
-mod store;
 
 pub use avl::AvlTree;
 pub use bucket::BucketList;
 pub use indexed::IndexedMaxHeap;
 pub use ordered::OrderedF64;
 pub use prefix::{BestPrefix, PrefixTracker};
-pub use store::LazyMaxHeap;

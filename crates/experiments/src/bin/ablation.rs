@@ -3,7 +3,8 @@
 //! probability-seeding method. Regenerates the sensitivity data behind
 //! `PropConfig::calibrated` (see EXPERIMENTS.md).
 
-use prop_core::{BalanceConstraint, GainInit, Partitioner, Prop, PropConfig};
+use prop_core::{BalanceConstraint, GainInit, ParallelPolicy, Partitioner, Prop, PropConfig};
+use prop_engines::EngineName;
 use prop_experiments::methods;
 use prop_experiments::report::{fmt_cut, Table};
 use prop_experiments::Options;
@@ -67,7 +68,9 @@ fn main() {
     for spec in &circuits {
         let graph = spec.instantiate().expect("valid spec");
         let balance = BalanceConstraint::bisection(graph.num_nodes());
-        baseline += methods::run_iterative("FM20", &methods::fm(), &graph, balance, runs).cut;
+        baseline +=
+            methods::run("FM20", EngineName::Fm, &graph, balance, runs, ParallelPolicy::Sequential)
+                .cut;
     }
 
     let mut table = Table::new(["variant", "total cut", "vs FM20 (%)"]);

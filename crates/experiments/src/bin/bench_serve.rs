@@ -20,8 +20,9 @@
 //! daemons (results asserted bit-identical across worker counts),
 //! appending `cluster-batch`-labelled jobs/s rows to `BENCH_prop.json`.
 
-use prop_core::{BalanceConstraint, Partitioner};
-use prop_experiments::{methods, Options};
+use prop_core::BalanceConstraint;
+use prop_engines::{EngineName, EngineSpec};
+use prop_experiments::Options;
 use prop_netlist::{format, suite};
 use prop_serve::{
     engine, server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, SubmitRequest,
@@ -258,7 +259,10 @@ fn main() {
         handle.addr()
     );
 
-    let prop = methods::prop();
+    let prop = EngineSpec::new(EngineName::Prop)
+        .build(0, 0)
+        .iterative()
+        .expect("prop is iterative");
     for name in &circuits {
         let spec = suite::by_name(name).expect("benchmark circuit");
         let graph = spec.instantiate().expect("valid Table-1 spec");

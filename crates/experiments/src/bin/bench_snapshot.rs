@@ -54,7 +54,8 @@
 //!   snapshot. `--large` extends the set with golem3 and golem4.
 
 use prop_core::{BalanceConstraint, KwayConfig, ParallelPolicy, Partitioner};
-use prop_experiments::{methods, Options};
+use prop_engines::{EngineName, EngineSpec};
+use prop_experiments::Options;
 use prop_netlist::{format, hgb, suite};
 use std::time::Instant;
 
@@ -77,6 +78,18 @@ const IO_SPEEDUP_FLOOR: f64 = 10.0;
 /// Maximum tolerated single-thread `secs_per_run` ratio vs the committed
 /// snapshot before `--compare` fails.
 const REGRESSION_FACTOR: f64 = 2.0;
+
+/// Builds a snapshot engine from the registry at the snapshot's seed 0.
+fn iterative(spec: &EngineSpec) -> Box<dyn Partitioner> {
+    spec.build(0, 0).iterative().expect("snapshot engines are iterative")
+}
+
+/// The multilevel engine with `threads` intra-run V-cycle workers.
+fn ml_intra(threads: usize) -> Box<dyn Partitioner> {
+    let mut spec = EngineSpec::new(EngineName::Ml);
+    spec.ml.intra = ParallelPolicy::Threads(threads);
+    iterative(&spec)
+}
 
 struct Record {
     circuit: String,
@@ -453,11 +466,11 @@ fn profile(circuits: &[&str], runs: usize, method: &str, partitioner: &dyn Parti
             pct(s.apply_ns),
             pct(s.refresh_ns)
         );
+        let counters: Vec<String> =
+            s.fields().iter().map(|(name, value)| format!("{name} {value}")).collect();
         println!(
-            "  moves {}  net_recomputes {}  gain_recomputes {}  ({:.1} net / {:.1} gain per move)",
-            s.moves,
-            s.net_recomputes,
-            s.gain_recomputes,
+            "  {}  ({:.1} net / {:.1} gain per move)",
+            counters.join("  "),
             s.net_recomputes as f64 / s.moves.max(1) as f64,
             s.gain_recomputes as f64 / s.moves.max(1) as f64
         );
@@ -568,14 +581,14 @@ fn run_kway(circuits: &[&str], runs: usize, max_threads: usize, threads_avail: u
             // intra workers: worker-count invariance is a determinism
             // property, not a speedup claim.
             for intra in [1, max_threads.max(2)] {
-                let engine = methods::ml_intra(intra);
+                let engine = ml_intra(intra);
                 let config = KwayConfig {
                     runs,
                     ..KwayConfig::new(k)
                 };
                 let start = Instant::now();
-                let report =
-                    prop_core::partition_kway(&graph, &engine, &config).expect("k-way succeeds");
+                let report = prop_core::partition_kway(&graph, engine.as_ref(), &config)
+                    .expect("k-way succeeds");
                 let secs_total = start.elapsed().as_secs_f64();
                 let cut = report.partition.cut_cost(&graph);
                 let recount =
@@ -657,16 +670,18 @@ fn main() {
         return;
     }
 
-    let prop = methods::prop();
-    let fm = methods::fm();
-    let ml = methods::ml();
-    let ml_flow = methods::ml_flow();
-    let mut engines: Vec<(&str, &dyn Partitioner)> = vec![
-        ("PROP", &prop as &dyn Partitioner),
-        ("FM-bucket", &fm as &dyn Partitioner),
-        ("ML", &ml as &dyn Partitioner),
-        ("ML+flow", &ml_flow as &dyn Partitioner),
-    ];
+    // The `method` labels are the BENCH_prop.json row keys.
+    let mut ml_flow = EngineSpec::new(EngineName::Ml);
+    ml_flow.ml.flow.enabled = true;
+    let mut engines: Vec<(&str, Box<dyn Partitioner>)> = [
+        ("PROP", EngineSpec::new(EngineName::Prop)),
+        ("FM-bucket", EngineSpec::new(EngineName::Fm)),
+        ("ML", EngineSpec::new(EngineName::Ml)),
+        ("ML+flow", ml_flow),
+    ]
+    .iter()
+    .map(|(label, spec)| (*label, iterative(spec)))
+    .collect();
     if let Some(only) = &extra.method {
         engines.retain(|(name, _)| name == only);
         if engines.is_empty() {
@@ -677,8 +692,8 @@ fn main() {
     }
 
     if extra.profile {
-        let (method, partitioner) = engines[0];
-        profile(&circuits, runs, method, partitioner);
+        let (method, partitioner) = &engines[0];
+        profile(&circuits, runs, method, partitioner.as_ref());
         return;
     }
 
@@ -687,9 +702,10 @@ fn main() {
         let spec = suite::by_name(name).expect("fixed snapshot circuit");
         let graph = spec.instantiate().expect("valid Table-1 spec");
         let balance = BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
-        for (method, partitioner) in engines.iter().copied() {
+        for (method, partitioner) in &engines {
             for threads in [1, max_threads] {
-                let rec = measure(name, method, partitioner, &graph, balance, runs, threads, 0);
+                let rec =
+                    measure(name, method, partitioner.as_ref(), &graph, balance, runs, threads, 0);
                 eprintln!(
                     "  {} {} runs={} threads={}: cut={} {:.3}s",
                     rec.circuit, rec.method, rec.runs, rec.threads, rec.best_cut, rec.secs_total
@@ -702,8 +718,8 @@ fn main() {
         // gate — the chunk check below asserts equal cuts per pair.
         if engines.iter().any(|(m, _)| *m == "ML") {
             for intra in [1, max_threads] {
-                let engine = methods::ml_intra(intra);
-                let rec = measure(name, "ML", &engine, &graph, balance, runs, 1, intra);
+                let engine = ml_intra(intra);
+                let rec = measure(name, "ML", engine.as_ref(), &graph, balance, runs, 1, intra);
                 eprintln!(
                     "  {} {} runs={} intra_threads={}: cut={} {:.3}s",
                     rec.circuit, rec.method, rec.runs, rec.intra_threads, rec.best_cut,

@@ -6,16 +6,14 @@
 //! `ml` engine (best-of-R V-cycles over heavy-edge coarsening, PROP/FM
 //! size-adaptive refinement), in both cut quality and per-run wall-clock.
 
-use prop_core::{BalanceConstraint, Partitioner, Prop, PropConfig};
+use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_engines::EngineName;
+use prop_experiments::methods;
 use prop_experiments::report::{fmt_cut, fmt_pct, fmt_secs, improvement_pct, Table};
 use prop_experiments::Options;
-use prop_multilevel::{Multilevel, MultilevelConfig};
-use std::time::Instant;
 
 fn main() {
     let opts = Options::from_args();
-    let prop = Prop::new(PropConfig::calibrated());
-    let ml = Multilevel::standard(MultilevelConfig::default());
 
     println!("Extension — multilevel (clustering pre-phase) PROP vs flat PROP, 45-55%");
     println!();
@@ -35,30 +33,24 @@ fn main() {
             BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
         let runs = opts.scaled_runs(20);
 
-        let start = Instant::now();
-        let flat = prop
-            .run_multi(&graph, balance, runs, 0)
-            .expect("non-empty graph");
-        let flat_secs = start.elapsed().as_secs_f64() / runs as f64;
+        let [flat, multi] = [("PROP", EngineName::Prop), ("ML", EngineName::Ml)].map(
+            |(label, engine)| {
+                methods::run(label, engine, &graph, balance, runs, ParallelPolicy::Sequential)
+            },
+        );
 
-        let start = Instant::now();
-        let multi = ml
-            .run_multi(&graph, balance, runs, 0)
-            .expect("non-empty graph");
-        let ml_secs = start.elapsed().as_secs_f64() / runs as f64;
-
-        totals[0] += flat.cut_cost;
-        totals[1] += multi.cut_cost;
-        totals[2] += flat_secs;
-        totals[3] += ml_secs;
+        totals[0] += flat.cut;
+        totals[1] += multi.cut;
+        totals[2] += flat.seconds_per_run;
+        totals[3] += multi.seconds_per_run;
         table.push_row([
             spec.name.to_string(),
-            fmt_cut(flat.cut_cost),
-            fmt_cut(multi.cut_cost),
-            fmt_pct(improvement_pct(multi.cut_cost, flat.cut_cost)),
-            fmt_secs(flat_secs),
-            fmt_secs(ml_secs),
-            format!("{:.1}x", flat_secs / ml_secs.max(1e-9)),
+            fmt_cut(flat.cut),
+            fmt_cut(multi.cut),
+            fmt_pct(improvement_pct(multi.cut, flat.cut)),
+            fmt_secs(flat.seconds_per_run),
+            fmt_secs(multi.seconds_per_run),
+            format!("{:.1}x", flat.seconds_per_run / multi.seconds_per_run.max(1e-9)),
         ]);
         eprintln!("  done: {}", spec.name);
     }

@@ -2,31 +2,27 @@
 //! balance criterion for FM (100/40/20 runs), LA-2, LA-3, WINDOW, and
 //! PROP (20 runs), with PROP's improvement percentages.
 
-use prop_core::BalanceConstraint;
+use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_engines::EngineName;
 use prop_experiments::methods::{self, MethodOutcome};
 use prop_experiments::report::{fmt_cut, fmt_pct, improvement_pct, Table};
 use prop_experiments::Options;
 
 fn main() {
     let opts = Options::from_args();
-    let fm = methods::fm();
-    let la2 = methods::la(2);
-    let la3 = methods::la(3);
-    let prop = methods::prop();
-
     let columns = [
-        ("FM100", 100usize),
-        ("FM40", 40),
-        ("FM20", 20),
-        ("LA-2", 20),
-        ("LA-3", 20),
-        ("WINDOW", 20),
-        ("PROP", 20),
+        ("FM100", EngineName::Fm, 100usize),
+        ("FM40", EngineName::Fm, 40),
+        ("FM20", EngineName::Fm, 20),
+        ("LA-2", EngineName::La2, 20),
+        ("LA-3", EngineName::La3, 20),
+        ("WINDOW", EngineName::Window, 20),
+        ("PROP", EngineName::Prop, 20),
     ];
     println!("Table 2 — 50-50% balance cutsets");
     println!();
     let mut header: Vec<String> = vec!["Test Case".into()];
-    header.extend(columns.iter().map(|&(n, _)| n.to_string()));
+    header.extend(columns.iter().map(|&(n, _, _)| n.to_string()));
     let mut table = Table::new(header);
 
     let mut totals = vec![0.0f64; columns.len()];
@@ -35,18 +31,10 @@ fn main() {
         let balance = BalanceConstraint::bisection(graph.num_nodes());
         let mut row = vec![spec.name.to_string()];
         let mut outcomes: Vec<MethodOutcome> = Vec::new();
-        for &(name, paper_runs) in &columns {
+        for &(name, engine, paper_runs) in &columns {
             let runs = opts.scaled_runs(paper_runs);
-            let outcome = match name {
-                "FM100" | "FM40" | "FM20" => {
-                    methods::run_iterative(name, &fm, &graph, balance, runs)
-                }
-                "LA-2" => methods::run_iterative(name, &la2, &graph, balance, runs),
-                "LA-3" => methods::run_iterative(name, &la3, &graph, balance, runs),
-                "WINDOW" => methods::run_global(name, &methods::window(runs), &graph, balance),
-                "PROP" => methods::run_iterative(name, &prop, &graph, balance, runs),
-                _ => unreachable!("column list is fixed"),
-            };
+            let outcome =
+                methods::run(name, engine, &graph, balance, runs, ParallelPolicy::Sequential);
             row.push(fmt_cut(outcome.cut));
             outcomes.push(outcome);
         }
@@ -64,7 +52,7 @@ fn main() {
     println!();
     println!("PROP improvement over each method (paper convention, totals):");
     let prop_total = totals[columns.len() - 1];
-    for (i, &(name, _)) in columns.iter().enumerate().take(columns.len() - 1) {
+    for (i, &(name, _, _)) in columns.iter().enumerate().take(columns.len() - 1) {
         println!(
             "  vs {:<7} {:>6}%   (paper: FM100 22.3, FM40 26.9, FM20 30.0, LA-2 27.3, LA-3 16.6, WINDOW 25.9)",
             name,

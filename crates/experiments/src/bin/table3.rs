@@ -1,17 +1,14 @@
 //! Regenerates Table 3 of the paper: cutset sizes under the 45-55%
 //! balance criterion for MELO, PARABOLI, EIG1, and PROP (20 runs).
 
-use prop_core::BalanceConstraint;
+use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_engines::EngineName;
 use prop_experiments::methods;
 use prop_experiments::report::{fmt_cut, fmt_pct, improvement_pct, Table};
 use prop_experiments::Options;
 
 fn main() {
     let opts = Options::from_args();
-    let melo = methods::melo();
-    let paraboli = methods::paraboli();
-    let eig1 = methods::eig1();
-    let prop = methods::prop();
 
     println!("Table 3 — 45-55% balance cutsets");
     println!();
@@ -23,11 +20,14 @@ fn main() {
             BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
         let runs = opts.scaled_runs(20);
         let outcomes = [
-            methods::run_global("MELO", &melo, &graph, balance),
-            methods::run_global("Paraboli", &paraboli, &graph, balance),
-            methods::run_global("EIG1", &eig1, &graph, balance),
-            methods::run_iterative("PROP", &prop, &graph, balance, runs),
-        ];
+            ("MELO", EngineName::Melo),
+            ("Paraboli", EngineName::Paraboli),
+            ("EIG1", EngineName::Eig1),
+            ("PROP", EngineName::Prop),
+        ]
+        .map(|(label, engine)| {
+            methods::run(label, engine, &graph, balance, runs, ParallelPolicy::Sequential)
+        });
         let mut row = vec![spec.name.to_string()];
         for (t, o) in totals.iter_mut().zip(&outcomes) {
             *t += o.cut;

@@ -3,20 +3,13 @@
 //! paper's §4 discusses.
 
 use prop_core::BalanceConstraint;
+use prop_engines::EngineName;
 use prop_experiments::methods;
 use prop_experiments::report::{fmt_secs, Table};
 use prop_experiments::Options;
 
 fn main() {
     let opts = Options::from_args();
-    let fm = methods::fm();
-    let fm_tree = methods::fm_tree();
-    let la2 = methods::la(2);
-    let la3 = methods::la(3);
-    let prop = methods::prop();
-    let eig1 = methods::eig1();
-    let paraboli = methods::paraboli();
-    let melo = methods::melo();
 
     // Per-run timing probes: a handful of runs per iterative method is
     // enough for a stable per-run figure. `--threads` fans the probe runs
@@ -47,18 +40,22 @@ fn main() {
         let b5050 = BalanceConstraint::bisection(graph.num_nodes());
         let b4555 =
             BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
+        let window_runs = opts.scaled_runs(20);
         let outcomes = [
-            methods::run_iterative_with("FM-bucket", &fm, &graph, b5050, probe_runs, policy),
-            methods::run_iterative_with("FM-tree", &fm_tree, &graph, b5050, probe_runs, policy),
-            methods::run_iterative_with("LA-2", &la2, &graph, b5050, probe_runs, policy),
-            methods::run_iterative_with("LA-3", &la3, &graph, b5050, probe_runs, policy),
+            ("FM-bucket", EngineName::Fm, b5050, probe_runs),
+            ("FM-tree", EngineName::FmTree, b5050, probe_runs),
+            ("LA-2", EngineName::La2, b5050, probe_runs),
+            ("LA-3", EngineName::La3, b5050, probe_runs),
             // The paper's Table-4 PROP column is the 45-55% run time.
-            methods::run_iterative_with("PROP", &prop, &graph, b4555, probe_runs, policy),
-            methods::run_global("EIG1", &eig1, &graph, b4555),
-            methods::run_global("Paraboli", &paraboli, &graph, b4555),
-            methods::run_global("MELO", &melo, &graph, b4555),
-            methods::run_global("WINDOW", &methods::window(opts.scaled_runs(20)), &graph, b5050),
-        ];
+            ("PROP", EngineName::Prop, b4555, probe_runs),
+            ("EIG1", EngineName::Eig1, b4555, 1),
+            ("Paraboli", EngineName::Paraboli, b4555, 1),
+            ("MELO", EngineName::Melo, b4555, 1),
+            ("WINDOW", EngineName::Window, b5050, window_runs),
+        ]
+        .map(|(label, engine, balance, runs)| {
+            methods::run(label, engine, &graph, balance, runs, policy)
+        });
         let mut row = vec![spec.name.to_string()];
         for ((t, o), scale) in totals.iter_mut().zip(&outcomes).zip(run_scale) {
             *t += o.seconds_per_run * scale;

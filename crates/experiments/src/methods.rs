@@ -1,10 +1,8 @@
-//! Timed method runners shared by the experiment binaries.
+//! The timed method runner shared by the experiment binaries.
 
-use prop_core::{BalanceConstraint, ParallelPolicy, Partitioner, Prop, PropConfig, RunResult};
-use prop_fm::{FmBucket, FmTree, La};
-use prop_multilevel::{MlRefiner, Multilevel, MultilevelConfig};
+use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_engines::{Engine, EngineName, EngineSpec};
 use prop_netlist::Hypergraph;
-use prop_spectral::{Eig1, GlobalPartitioner, MeloStyle, ParaboliStyle, WindowStyle};
 use std::time::Instant;
 
 /// One method's outcome on one circuit.
@@ -20,136 +18,34 @@ pub struct MethodOutcome {
     pub runs: usize,
 }
 
-fn outcome(method: impl Into<String>, result: &RunResult, secs: f64, runs: usize) -> MethodOutcome {
-    MethodOutcome {
-        method: method.into(),
-        cut: result.cut_cost,
-        seconds_per_run: secs / runs.max(1) as f64,
-        runs,
-    }
-}
-
-/// Runs an iterative improver for `runs` seeded runs and times it.
-pub fn run_iterative(
-    name: &str,
-    partitioner: &dyn Partitioner,
-    graph: &Hypergraph,
-    balance: BalanceConstraint,
-    runs: usize,
-) -> MethodOutcome {
-    run_iterative_with(name, partitioner, graph, balance, runs, ParallelPolicy::Sequential)
-}
-
-/// Like [`run_iterative`], fanning the runs out over the worker threads
-/// `policy` resolves to. The reported cut is bit-identical for every
-/// policy; only the wall-clock time changes.
-pub fn run_iterative_with(
-    name: &str,
-    partitioner: &dyn Partitioner,
+/// Runs the registered `engine` at seed 0 and times it: `runs` seeded
+/// multi-start runs fanned out over the worker threads `policy` resolves
+/// to for an iterative engine, one invocation for a global one (WINDOW
+/// then tries `runs` orderings). The reported cut is bit-identical for
+/// every policy; only the wall-clock time changes.
+pub fn run(
+    label: &str,
+    engine: EngineName,
     graph: &Hypergraph,
     balance: BalanceConstraint,
     runs: usize,
     policy: ParallelPolicy,
 ) -> MethodOutcome {
     let start = Instant::now();
-    let result = partitioner
-        .run_multi_parallel(graph, balance, runs, 0, policy)
-        .expect("non-empty graph and runs >= 1");
-    outcome(name, &result, start.elapsed().as_secs_f64(), runs)
-}
-
-/// Runs a one-shot global partitioner and times it.
-pub fn run_global(
-    name: &str,
-    partitioner: &dyn GlobalPartitioner,
-    graph: &Hypergraph,
-    balance: BalanceConstraint,
-) -> MethodOutcome {
-    let start = Instant::now();
-    let result = partitioner
-        .partition(graph, balance)
-        .expect("non-empty graph");
-    outcome(name, &result, start.elapsed().as_secs_f64(), 1)
-}
-
-/// The PROP instance used throughout the experiments: the paper's
-/// parameters with the calibrated probability floor (see
-/// [`PropConfig::calibrated`]).
-pub fn prop() -> Prop {
-    Prop::new(PropConfig::calibrated())
-}
-
-/// The paper's exact parameterisation (`p_min = 0.4`), used by the
-/// ablation experiment.
-pub fn prop_paper() -> Prop {
-    Prop::new(PropConfig::default())
-}
-
-/// FM with the bucket structure (the paper's baseline FM).
-pub fn fm() -> FmBucket {
-    FmBucket::default()
-}
-
-/// The standard multilevel V-cycle engine (heavy-edge coarsening with a
-/// size-adaptive PROP/FM refiner) at its default knobs.
-pub fn ml() -> Multilevel<MlRefiner> {
-    Multilevel::standard(MultilevelConfig::default())
-}
-
-/// The deterministic intra-parallel multilevel engine: the same V-cycle
-/// shape as [`ml`], but with parallel propose/resolve coarsening and
-/// synchronous-round refinement inside each run, at `threads` workers.
-/// The result is bit-identical for every `threads >= 1` (and differs
-/// from [`ml`], which runs the classic sequential algorithms).
-pub fn ml_intra(threads: usize) -> Multilevel<MlRefiner> {
-    Multilevel::standard(MultilevelConfig {
-        intra: ParallelPolicy::Threads(threads),
-        ..MultilevelConfig::default()
-    })
-}
-
-/// The multilevel engine of [`ml`] with flow-based corridor refinement
-/// enabled at its default corridor size: after move-based refinement at
-/// each uncoarsening level, a min-cut over a slack-bounded corridor
-/// around the cut is solved exactly and accepted iff strictly better.
-pub fn ml_flow() -> Multilevel<MlRefiner> {
-    Multilevel::standard(MultilevelConfig {
-        flow: prop_multilevel::FlowConfig {
-            enabled: true,
-            ..prop_multilevel::FlowConfig::default()
-        },
-        ..MultilevelConfig::default()
-    })
-}
-
-/// FM with the tree structure (the paper's weighted-cost variant).
-pub fn fm_tree() -> FmTree {
-    FmTree::default()
-}
-
-/// LA-k.
-pub fn la(k: usize) -> La {
-    La::new(k)
-}
-
-/// EIG1.
-pub fn eig1() -> Eig1 {
-    Eig1::default()
-}
-
-/// MELO-style.
-pub fn melo() -> MeloStyle {
-    MeloStyle::default()
-}
-
-/// PARABOLI-style.
-pub fn paraboli() -> ParaboliStyle {
-    ParaboliStyle::default()
-}
-
-/// WINDOW-style with the given number of ordering/FM runs.
-pub fn window(runs: usize) -> WindowStyle {
-    WindowStyle { runs, seed: 0 }
+    let (result, runs) = match EngineSpec::new(engine).build(0, runs) {
+        Engine::Iterative(engine) => (
+            engine.run_multi_parallel(graph, balance, runs, 0, policy),
+            runs,
+        ),
+        Engine::Global(engine) => (engine.partition(graph, balance), 1),
+    };
+    let result = result.expect("non-empty graph and runs >= 1");
+    MethodOutcome {
+        method: label.to_string(),
+        cut: result.cut_cost,
+        seconds_per_run: start.elapsed().as_secs_f64() / runs.max(1) as f64,
+        runs,
+    }
 }
 
 #[cfg(test)]
@@ -161,20 +57,14 @@ mod tests {
     fn iterative_and_global_runners_report_consistent_outcomes() {
         let g = generate(&GeneratorConfig::new(60, 66, 220).with_seed(5)).unwrap();
         let balance = BalanceConstraint::bisection(60);
-        let fm_out = run_iterative("FM3", &fm(), &g, balance, 3);
+        let fm_out = run("FM3", EngineName::Fm, &g, balance, 3, ParallelPolicy::Sequential);
         assert_eq!(fm_out.runs, 3);
         assert!(fm_out.cut >= 0.0);
         assert!(fm_out.seconds_per_run >= 0.0);
-        let eig_out = run_global("EIG1", &eig1(), &g, balance);
+        let par = run("FM3", EngineName::Fm, &g, balance, 3, ParallelPolicy::Threads(2));
+        assert_eq!(par.cut, fm_out.cut);
+        let eig_out = run("EIG1", EngineName::Eig1, &g, balance, 20, ParallelPolicy::Sequential);
         assert_eq!(eig_out.runs, 1);
         assert_eq!(eig_out.method, "EIG1");
-    }
-
-    #[test]
-    fn method_constructors_have_paper_settings() {
-        assert_eq!(prop().config().p_min, 0.85);
-        assert_eq!(prop_paper().config().p_min, 0.4);
-        assert_eq!(la(3).lookahead(), 3);
-        assert_eq!(window(20).runs, 20);
     }
 }

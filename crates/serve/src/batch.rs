@@ -31,7 +31,7 @@
 //! partition, the planner-assigned index making the last tie-break
 //! structural rather than arrival-ordered.
 
-use crate::engine::EngineKind;
+use crate::engine;
 use crate::wire::{SubmitRequest, WireError};
 
 /// Cap on the number of sub-jobs one `batch` request may expand into —
@@ -195,11 +195,9 @@ impl BatchRequest {
                 "engines" => {
                     let engines: Vec<String> = v.split(',').map(str::to_string).collect();
                     for name in &engines {
-                        if EngineKind::from_name(name).is_none() {
-                            return Err(WireError::Malformed(format!(
-                                "unknown engine {name:?} in engines list"
-                            )));
-                        }
+                        engine::served_engine(name).map_err(|message| {
+                            WireError::Malformed(format!("{message} in engines list"))
+                        })?;
                     }
                     req.engines = engines;
                 }
@@ -363,7 +361,6 @@ pub fn merge(spec: &BatchRequest, jobs: &[SubJob], outcomes: &[SubJobOutcome]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine;
     use prop_core::{BalanceConstraint, CancelToken};
     use prop_netlist::generate::{generate, GeneratorConfig};
 
@@ -426,11 +423,11 @@ mod tests {
                 .iter()
                 .map(|job| {
                     let r = &job.request;
-                    let kind = EngineKind::from_name(&r.engine).unwrap();
+                    let name = engine::served_engine(&r.engine).unwrap();
                     let balance =
                         BalanceConstraint::weighted(r.r1, r.r2, &graph).unwrap();
                     let report = engine::execute_with(
-                        kind,
+                        name,
                         &graph,
                         balance,
                         r.runs,
@@ -455,10 +452,10 @@ mod tests {
                 .collect();
             let merged = merge(&spec, &jobs, &outcomes);
             for (g, group) in spec.groups().iter().enumerate() {
-                let kind = EngineKind::from_name(&group.engine).unwrap();
+                let name = engine::served_engine(&group.engine).unwrap();
                 let balance =
                     BalanceConstraint::weighted(group.r1, group.r2, &graph).unwrap();
-                let direct = engine::execute(kind, &graph, balance, spec.runs, spec.seed, &token)
+                let direct = engine::execute(name, &graph, balance, spec.runs, spec.seed, &token)
                     .unwrap();
                 let got = &merged.groups[g];
                 assert_eq!(got.cut, direct.result.cut_cost, "chunk={chunk} group={g}");

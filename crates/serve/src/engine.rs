@@ -1,79 +1,53 @@
 //! Engine dispatch for the daemon's workers.
 //!
-//! The configurations here mirror `prop-cli`'s `run_method` exactly, and
-//! every engine — the multilevel V-cycle included — runs through the
-//! cancellable multi-start harness with the
+//! Engines come from the `prop-engines` registry, the same table the
+//! `prop` CLI builds from, so the daemon serves every iterative engine
+//! under its CLI name. Every engine — the multilevel V-cycle included —
+//! runs through the cancellable multi-start harness with the
 //! [`ParallelPolicy::Sequential`] policy, which the harness guarantees
 //! is bit-identical to `run_multi` / `run_multi_parallel` when the token
 //! never trips. A result fetched through the daemon therefore matches a
-//! direct library call byte for byte (the round-trip test pins this).
+//! direct library call byte for byte (the round-trip tests pin this).
 
 use prop_core::{
     partition_kway_cancellable, BalanceConstraint, CancelToken, KwayConfig, KwayReport,
-    MultiRunReport, ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig, Side,
+    MultiRunReport, ParallelPolicy, PartitionError, Partitioner, Side,
 };
-use prop_fm::{FmBucket, FmTree};
-use prop_multilevel::{Multilevel, MultilevelConfig};
+use prop_engines::{EngineName, EngineSpec};
+use prop_multilevel::MultilevelConfig;
 use prop_netlist::{format, Hypergraph};
 
-/// The engines the daemon serves.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EngineKind {
-    /// PROP with the calibrated configuration (the default).
-    Prop,
-    /// PROP with the paper's published constants.
-    PropPaper,
-    /// Bucket-list FM.
-    Fm,
-    /// Tree-ordered FM.
-    FmTree,
-    /// The multilevel V-cycle engine (one V-cycle per multi-start run).
-    Ml,
+/// Resolves a wire engine name to a served engine: every iterative
+/// engine of the registry. The one-shot global methods have no
+/// multi-start runs to cancel and cannot drive k-way recursion, so they
+/// are refused like unknown names.
+///
+/// # Errors
+///
+/// Returns the `unknown_engine` message, which lists the served engines.
+pub fn served_engine(name: &str) -> Result<EngineName, String> {
+    match name.parse::<EngineName>() {
+        Ok(engine) if engine.is_iterative() => Ok(engine),
+        _ => Err(format!(
+            "unknown engine {name:?} (use {})",
+            EngineName::names(EngineName::is_iterative)
+        )),
+    }
 }
 
-/// Every engine, in wire/metrics order.
-pub const ALL_ENGINES: [EngineKind; 5] = [
-    EngineKind::Prop,
-    EngineKind::PropPaper,
-    EngineKind::Fm,
-    EngineKind::FmTree,
-    EngineKind::Ml,
-];
-
-impl EngineKind {
-    /// Parses a wire engine name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "prop" => Some(EngineKind::Prop),
-            "prop-paper" => Some(EngineKind::PropPaper),
-            "fm" => Some(EngineKind::Fm),
-            "fm-tree" => Some(EngineKind::FmTree),
-            "ml" => Some(EngineKind::Ml),
-            _ => None,
-        }
-    }
-
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Prop => "prop",
-            EngineKind::PropPaper => "prop-paper",
-            EngineKind::Fm => "fm",
-            EngineKind::FmTree => "fm-tree",
-            EngineKind::Ml => "ml",
-        }
-    }
-
-    /// Dense index into per-engine metric arrays.
-    pub fn index(self) -> usize {
-        match self {
-            EngineKind::Prop => 0,
-            EngineKind::PropPaper => 1,
-            EngineKind::Fm => 2,
-            EngineKind::FmTree => 3,
-            EngineKind::Ml => 4,
-        }
-    }
+/// Builds the iterative engine `name` with the `ml` knobs and `seed` as
+/// the V-cycle's engine seed.
+fn build(
+    name: EngineName,
+    seed: u64,
+    ml: MultilevelConfig,
+) -> Result<Box<dyn Partitioner>, PartitionError> {
+    EngineSpec { name, ml }
+        .build(seed, 0)
+        .iterative()
+        .ok_or_else(|| PartitionError::InvalidConfig {
+            message: format!("the daemon serves iterative engines only, not {name}"),
+        })
 }
 
 /// Parses a submitted netlist payload (`hgr` or `netd`).
@@ -90,25 +64,25 @@ pub fn parse_payload(fmt: &str, payload: &str) -> Result<Hypergraph, String> {
     }
 }
 
-/// Runs `kind` on `graph` under `token` with the default multilevel
+/// Runs `engine` on `graph` under `token` with the default multilevel
 /// knobs; see [`execute_with`].
 ///
 /// # Errors
 ///
 /// Propagates [`PartitionError`] from the engine.
 pub fn execute(
-    kind: EngineKind,
+    engine: EngineName,
     graph: &Hypergraph,
     balance: BalanceConstraint,
     runs: usize,
     seed: u64,
     token: &CancelToken,
 ) -> Result<MultiRunReport, PartitionError> {
-    execute_with(kind, graph, balance, runs, seed, token, MultilevelConfig::default())
+    execute_with(engine, graph, balance, runs, seed, token, MultilevelConfig::default())
 }
 
-/// Runs `kind` on `graph` under `token`, reporting whether the execution
-/// completed or stopped early.
+/// Runs `engine` on `graph` under `token`, reporting whether the
+/// execution completed or stopped early.
 ///
 /// Every engine uses the cancellable sequential multi-start harness. For
 /// the `ml` engine each run is one V-cycle, built from `ml` with its
@@ -118,9 +92,10 @@ pub fn execute(
 ///
 /// # Errors
 ///
-/// Propagates [`PartitionError`] from the engine.
+/// Propagates [`PartitionError`] from the engine, and returns
+/// [`PartitionError::InvalidConfig`] for a one-shot global method.
 pub fn execute_with(
-    kind: EngineKind,
+    engine: EngineName,
     graph: &Hypergraph,
     balance: BalanceConstraint,
     runs: usize,
@@ -128,20 +103,20 @@ pub fn execute_with(
     token: &CancelToken,
     ml: MultilevelConfig,
 ) -> Result<MultiRunReport, PartitionError> {
-    let p: Box<dyn Partitioner> = match kind {
-        EngineKind::Prop => Box::new(Prop::new(PropConfig::calibrated())),
-        EngineKind::PropPaper => Box::new(Prop::new(PropConfig::default())),
-        EngineKind::Fm => Box::new(FmBucket::default()),
-        EngineKind::FmTree => Box::new(FmTree::default()),
-        EngineKind::Ml => Box::new(Multilevel::standard(MultilevelConfig { seed, ..ml })),
-    };
-    p.run_multi_cancellable(graph, balance, runs, seed, ParallelPolicy::Sequential, token)
+    build(engine, seed, ml)?.run_multi_cancellable(
+        graph,
+        balance,
+        runs,
+        seed,
+        ParallelPolicy::Sequential,
+        token,
+    )
 }
 
-/// Runs `kind` through the recursive k-way driver under `token`.
+/// Runs `engine` through the recursive k-way driver under `token`.
 ///
 /// The 2-way engine underneath each bisection is exactly the one
-/// [`execute_with`] dispatches, and the driver's sequential run policy
+/// [`execute_with`] runs, and the driver's sequential run policy
 /// matches it, so a `k = 2` uniform job through this path is
 /// bit-identical to the bipartition path at the same seed. The driver
 /// stays sequential (no concurrent subtrees) because the daemon's worker
@@ -151,10 +126,12 @@ pub fn execute_with(
 /// # Errors
 ///
 /// Propagates [`PartitionError`] from the driver — including the typed
-/// `InfeasibleBudgets` for budget vectors that admit no packing.
+/// `InfeasibleBudgets` for budget vectors that admit no packing — and
+/// returns [`PartitionError::InvalidConfig`] for a one-shot global
+/// method.
 #[allow(clippy::too_many_arguments)] // a flat job descriptor
 pub fn execute_kway(
-    kind: EngineKind,
+    engine: EngineName,
     graph: &Hypergraph,
     k: usize,
     budgets: Option<Vec<f64>>,
@@ -165,13 +142,6 @@ pub fn execute_kway(
     token: &CancelToken,
     ml: MultilevelConfig,
 ) -> Result<KwayReport, PartitionError> {
-    let p: Box<dyn Partitioner> = match kind {
-        EngineKind::Prop => Box::new(Prop::new(PropConfig::calibrated())),
-        EngineKind::PropPaper => Box::new(Prop::new(PropConfig::default())),
-        EngineKind::Fm => Box::new(FmBucket::default()),
-        EngineKind::FmTree => Box::new(FmTree::default()),
-        EngineKind::Ml => Box::new(Multilevel::standard(MultilevelConfig { seed, ..ml })),
-    };
     let config = KwayConfig {
         k,
         budgets,
@@ -181,7 +151,7 @@ pub fn execute_kway(
         r2,
         policy: ParallelPolicy::Sequential,
     };
-    partition_kway_cancellable(graph, p.as_ref(), &config, token)
+    partition_kway_cancellable(graph, build(engine, seed, ml)?.as_ref(), &config, token)
 }
 
 /// FNV-1a 64 over the node→side assignment (one byte per node, `0` for
@@ -214,20 +184,8 @@ pub fn kway_assignment_hash(assignment: &[u32]) -> u64 {
 mod tests {
     use super::*;
     use prop_core::RunStatus;
+    use prop_multilevel::Multilevel;
     use prop_netlist::generate::{generate, GeneratorConfig};
-
-    #[test]
-    fn engine_names_roundtrip() {
-        for kind in ALL_ENGINES {
-            assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(EngineKind::from_name("sa2"), None);
-        let mut seen = [false; ALL_ENGINES.len()];
-        for kind in ALL_ENGINES {
-            assert!(!seen[kind.index()], "duplicate index");
-            seen[kind.index()] = true;
-        }
-    }
 
     #[test]
     fn payload_parsing_matches_formats() {
@@ -241,29 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn untripped_execution_matches_direct_run_multi() {
-        let g = generate(&GeneratorConfig::new(60, 70, 240).with_seed(3)).unwrap();
-        let balance = BalanceConstraint::new(0.45, 0.55, 60).unwrap();
-        let token = CancelToken::new();
-        for kind in [EngineKind::Prop, EngineKind::Fm, EngineKind::FmTree, EngineKind::Ml] {
-            let report = execute(kind, &g, balance, 3, 7, &token).unwrap();
-            assert_eq!(report.status, RunStatus::Completed);
-            assert_eq!(report.started_runs, 3);
-            let direct: Box<dyn Partitioner> = match kind {
-                EngineKind::Prop => Box::new(Prop::new(PropConfig::calibrated())),
-                EngineKind::Fm => Box::new(FmBucket::default()),
-                EngineKind::FmTree => Box::new(FmTree::default()),
-                _ => Box::new(Multilevel::standard(MultilevelConfig {
-                    seed: 7,
-                    ..MultilevelConfig::default()
-                })),
-            };
-            let expect = direct.run_multi(&g, balance, 3, 7).unwrap();
-            assert_eq!(report.result, expect, "{}", kind.name());
-        }
-    }
-
-    #[test]
     fn ml_knobs_change_the_engine_configuration() {
         let g = generate(&GeneratorConfig::new(80, 90, 300).with_seed(4)).unwrap();
         let balance = BalanceConstraint::new(0.45, 0.55, 80).unwrap();
@@ -273,7 +208,7 @@ mod tests {
             coarsest_starts: 2,
             ..MultilevelConfig::default()
         };
-        let report = execute_with(EngineKind::Ml, &g, balance, 2, 9, &token, knobs).unwrap();
+        let report = execute_with(EngineName::Ml, &g, balance, 2, 9, &token, knobs).unwrap();
         assert_eq!(report.status, RunStatus::Completed);
         assert!(report.result.partition.is_balanced(balance));
         let direct = Multilevel::standard(MultilevelConfig { seed: 9, ..knobs });

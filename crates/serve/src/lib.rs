@@ -53,7 +53,6 @@ pub mod wire;
 pub use batch::{BatchRequest, BatchResult, GroupResult, SubJob, SubJobOutcome};
 pub use client::{Client, ClientError, ConnectRetry};
 pub use cluster::{ClusterConfig, Coordinator};
-pub use engine::EngineKind;
 pub use job::{JobOutcome, JobPhase, JobStatus, JobTable, JobView};
 pub use json::Json;
 pub use metrics::{LatencyHistogram, Metrics};

@@ -10,9 +10,9 @@
 //! here afterwards. With the `prof` feature off the snapshots are all
 //! zero and the section reports `enabled: false`.
 
-use crate::engine::{EngineKind, ALL_ENGINES};
 use crate::json::{self, Json};
 use prop_core::prof::ProfSnapshot;
+use prop_engines::EngineName;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -88,7 +88,7 @@ pub struct Metrics {
     pub worker_panics: AtomicU64,
     /// Connections accepted since start.
     pub connections: AtomicU64,
-    latency: [LatencyHistogram; 5],
+    latency: [LatencyHistogram; EngineName::ALL.len()],
     prof: Mutex<ProfSnapshot>,
 }
 
@@ -105,7 +105,7 @@ impl Metrics {
     }
 
     /// Records one finished job's wall time under its engine.
-    pub fn record_latency(&self, engine: EngineKind, wall_ms: u64) {
+    pub fn record_latency(&self, engine: EngineName, wall_ms: u64) {
         self.latency[engine.index()].record(wall_ms);
     }
 
@@ -135,31 +135,18 @@ impl Metrics {
             ("draining", Json::Bool(draining)),
         ]);
         let mut engines = Vec::new();
-        for kind in ALL_ENGINES {
-            let lane = &self.latency[kind.index()];
+        for name in EngineName::ALL {
+            let lane = &self.latency[name.index()];
             if lane.count() == 0 {
                 continue;
             }
-            engines.push((kind.name(), lane.to_json()));
+            engines.push((name.as_str(), lane.to_json()));
         }
         let prof = {
             let total = self.prof.lock().expect("prof totals lock");
-            json::obj(vec![
-                ("enabled", Json::Bool(prop_core::prof::enabled())),
-                ("seed_ns", json::uint(total.seed_ns)),
-                ("refine_ns", json::uint(total.refine_ns)),
-                ("select_ns", json::uint(total.select_ns)),
-                ("apply_ns", json::uint(total.apply_ns)),
-                ("refresh_ns", json::uint(total.refresh_ns)),
-                ("moves", json::uint(total.moves)),
-                ("net_recomputes", json::uint(total.net_recomputes)),
-                ("gain_recomputes", json::uint(total.gain_recomputes)),
-                ("ml_coarsen_ns", json::uint(total.ml_coarsen_ns)),
-                ("ml_initial_ns", json::uint(total.ml_initial_ns)),
-                ("ml_project_ns", json::uint(total.ml_project_ns)),
-                ("ml_refine_ns", json::uint(total.ml_refine_ns)),
-                ("ml_levels", json::uint(total.ml_levels)),
-            ])
+            let mut fields = vec![("enabled", Json::Bool(prop_core::prof::enabled()))];
+            fields.extend(total.fields().map(|(name, value)| (name, json::uint(value))));
+            json::obj(fields)
         };
         json::obj(vec![
             ("connections", get(&self.connections)),
@@ -189,9 +176,9 @@ mod tests {
     #[test]
     fn latency_accumulates_per_engine() {
         let m = Metrics::new();
-        m.record_latency(EngineKind::Prop, 5);
-        m.record_latency(EngineKind::Prop, 9);
-        m.record_latency(EngineKind::Fm, 0);
+        m.record_latency(EngineName::Prop, 5);
+        m.record_latency(EngineName::Prop, 9);
+        m.record_latency(EngineName::Fm, 0);
         let body = m.to_json(2, 8, false);
         let lat = body.get("latency").unwrap();
         let prop = lat.get("prop").unwrap();
@@ -243,5 +230,21 @@ mod tests {
         assert_eq!(prof.get("gain_recomputes").and_then(Json::as_u64), Some(2));
         assert_eq!(prof.get("ml_refine_ns").and_then(Json::as_u64), Some(40));
         assert_eq!(prof.get("ml_levels").and_then(Json::as_u64), Some(6));
+    }
+
+    #[test]
+    fn stats_prof_lists_every_counter() {
+        let m = Metrics::new();
+        let snapshot = ProfSnapshot {
+            sync_rounds: 3,
+            flow_accepted: 2,
+            ..ProfSnapshot::default()
+        };
+        m.record_prof(&snapshot);
+        let body = m.to_json(0, 1, false);
+        let prof = body.get("prof").unwrap();
+        for (name, value) in snapshot.fields() {
+            assert_eq!(prof.get(name).and_then(Json::as_u64), Some(value), "{name}");
+        }
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::batch::BatchRequest;
 use crate::cluster::{ClusterConfig, Coordinator};
-use crate::engine::{self, EngineKind};
+use crate::engine;
 use crate::job::{JobOutcome, JobStatus, JobTable, JobView};
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
@@ -26,6 +26,7 @@ use crate::queue::{JobQueue, PushError};
 use crate::store::CircuitStore;
 use crate::wire::{self, Request, SubmitRequest, UploadRequest, WireError, DEFAULT_MAX_REQUEST_BYTES};
 use prop_core::{prof, BalanceConstraint, CancelToken, RunStatus, Side};
+use prop_engines::EngineName;
 use prop_netlist::{hgb, Hypergraph};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -512,12 +513,9 @@ fn handle_upload(upload: UploadRequest, shared: &Arc<Shared>) -> Json {
 }
 
 fn handle_submit(submit: SubmitRequest, shared: &Arc<Shared>) -> Json {
-    if EngineKind::from_name(&submit.engine).is_none() {
+    if let Err(message) = engine::served_engine(&submit.engine) {
         shared.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-        return err_obj(
-            "unknown_engine",
-            &format!("unknown engine {:?} (use prop, prop-paper, fm, fm-tree, ml)", submit.engine),
-        );
+        return err_obj("unknown_engine", &message);
     }
     let circuit_id = submit.circuit_id.clone();
     if !circuit_id.is_empty() {
@@ -740,9 +738,8 @@ fn run_job(
     work: &SubmitRequest,
     token: &CancelToken,
     store: Option<&CircuitStore>,
-) -> Result<(EngineKind, JobDone), String> {
-    let kind = EngineKind::from_name(&work.engine)
-        .ok_or_else(|| format!("unknown engine {:?}", work.engine))?;
+) -> Result<(EngineName, JobDone), String> {
+    let name = engine::served_engine(&work.engine)?;
     // A stored circuit is shared by every job of a sweep through one
     // cached `Arc`; an inline payload is parsed per job.
     let graph: Arc<Hypergraph> = if work.circuit_id.is_empty() {
@@ -760,7 +757,7 @@ fn run_job(
     if work.k > 2 || !work.budgets.is_empty() {
         let budgets = (!work.budgets.is_empty()).then(|| work.budgets.clone());
         let report = engine::execute_kway(
-            kind,
+            name,
             graph,
             work.k,
             budgets,
@@ -781,12 +778,12 @@ fn run_job(
             passes: report.total_passes,
             hash: engine::kway_assignment_hash(report.partition.assignment()),
         };
-        return Ok((kind, done));
+        return Ok((name, done));
     }
     let balance =
         BalanceConstraint::weighted(work.r1, work.r2, graph).map_err(|e| e.to_string())?;
     engine::execute_with(
-        kind,
+        name,
         graph,
         balance,
         work.runs,
@@ -794,7 +791,7 @@ fn run_job(
         token,
         work.ml_config(),
     )
-    .map(|report| (kind, JobDone::TwoWay(report)))
+    .map(|report| (name, JobDone::TwoWay(report)))
     .map_err(|e| e.to_string())
 }
 

@@ -13,7 +13,13 @@
 #                                   # the prop-serve loopback benchmark,
 #                                   # drive it under a 30s budget, and fail
 #                                   # on any contained worker panic in the
-#                                   # daemon's output
+#                                   # daemon's output; then submit each
+#                                   # engine the registry newly serves
+#                                   # (prop-paper, fm-tree, la2, la3, kl,
+#                                   # sa) on struct to a live daemon and
+#                                   # fail unless its cut equals
+#                                   # `prop partition --method <e>` at the
+#                                   # same seed and runs
 #   scripts/check.sh --ml           # also run the multilevel smoke gate:
 #                                   # one ml-only quick benchmark pass whose
 #                                   # cuts the oracle recounts, plus the
@@ -124,6 +130,38 @@ if [[ "$serve" -eq 1 ]]; then
     echo "check.sh: worker panic detected in the serve smoke log" >&2
     exit 1
   fi
+
+  # Every engine the registry newly serves, over a live socket: the
+  # daemon's cut must equal the direct CLI run at the same seed and runs.
+  cargo build --release -q -p prop-cli
+  serve_dir="$(mktemp -d)"
+  serve_addr="127.0.0.1:7477"
+  ./target/release/prop serve --addr "$serve_addr" --workers 2 --queue-cap 8 \
+    --store-dir "$serve_dir/store" > "$serve_dir/serve.log" 2>&1 &
+  serve_pid=$!
+  trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$serve_dir" "$serve_log"' EXIT
+  for _ in $(seq 1 50); do
+    ./target/release/prop ctl ping --addr "$serve_addr" >/dev/null 2>&1 && break
+    sleep 0.2
+  done
+  ./target/release/prop generate --circuit struct --out "$serve_dir/struct.hgr" >/dev/null
+  for e in prop-paper fm-tree la2 la3 kl sa; do
+    direct="$(./target/release/prop partition "$serve_dir/struct.hgr" --method "$e" \
+      --runs 2 --seed 3)"
+    served="$(./target/release/prop submit "$serve_dir/struct.hgr" --engine "$e" \
+      --runs 2 --seed 3 --addr "$serve_addr")"
+    direct_cut="$(sed -n 's/.*cut=\([0-9.eE+-]*\).*/\1/p' <<<"$direct")"
+    served_cut="$(sed -n 's/.*"cut":\([0-9.eE+-]*\).*/\1/p' <<<"$served")"
+    if [[ -z "$direct_cut" || "$direct_cut" != "$served_cut" ]]; then
+      echo "check.sh: daemon diverged from the CLI for engine $e" >&2
+      echo "  partition: $direct" >&2
+      echo "  submit:    $served" >&2
+      exit 1
+    fi
+    echo "check.sh: $e cut=$direct_cut through the daemon and the CLI"
+  done
+  ./target/release/prop ctl shutdown --addr "$serve_addr" >/dev/null
+  wait "$serve_pid" 2>/dev/null || true
 fi
 
 if [[ "$ml" -eq 1 ]]; then

@@ -12,6 +12,8 @@
 //! * [`spectral`] — EIG1, MELO-, PARABOLI-, and WINDOW-style partitioners.
 //! * [`multilevel`] — the clustering pre-phase the paper's conclusion
 //!   anticipates: heavy-edge coarsening with PROP refinement per level.
+//! * [`engines`] — the engine registry: every engine by its CLI/wire
+//!   name, built with the configuration all surfaces share.
 //! * [`verify`] — differential-oracle verification: naive reference
 //!   oracles, per-move invariant auditors, and a from-scratch PROP
 //!   mirror (build with `--features debug-audit` to install auditors
@@ -36,6 +38,7 @@
 
 pub use prop_core as core;
 pub use prop_dstruct as dstruct;
+pub use prop_engines as engines;
 pub use prop_fm as fm;
 pub use prop_linalg as linalg;
 pub use prop_multilevel as multilevel;

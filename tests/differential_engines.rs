@@ -149,11 +149,8 @@ fn prop_matches_reference_under_probe_depth_knob() {
 /// circuits.
 #[test]
 fn selection_backends_match_each_other_and_the_reference() {
-    const BACKENDS: [SelectionBackend; 3] = [
-        SelectionBackend::AvlTree,
-        SelectionBackend::LazyHeap,
-        SelectionBackend::IndexedHeap,
-    ];
+    const BACKENDS: [SelectionBackend; 2] =
+        [SelectionBackend::AvlTree, SelectionBackend::IndexedHeap];
     for seed in SEEDS.into_iter().take(4) {
         // Unit weights: count-based balance, peek-only selection.
         let g = circuit(seed);

@@ -224,10 +224,9 @@ fn kway_submissions_are_bit_identical_to_the_direct_driver() {
     for (engine_name, budget_set) in [("ml", Vec::new()), ("prop", budgets.clone())] {
         let served =
             submit_kway_via_daemon(handle.addr(), engine_name, &payload, 4, budget_set.clone());
-        let kind = engine::EngineKind::from_name(engine_name).unwrap();
         let token = prop_core::CancelToken::new();
         let report = engine::execute_kway(
-            kind,
+            engine_name.parse().unwrap(),
             &graph,
             4,
             (!budget_set.is_empty()).then(|| budget_set.clone()),
