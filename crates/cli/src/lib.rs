@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 use prop_core::{
-    partition_kway, BalanceConstraint, KwayConfig, KwayPartition, ParallelPolicy, Partitioner,
+    partition_kway, BalanceConstraint, KwayConfig, KwayPartition, KwayReport, ParallelPolicy,
     RunResult, Side,
 };
 use prop_engines::{Engine, EngineName, EngineSpec};
@@ -79,6 +79,35 @@ fn failure(message: impl Into<String>) -> CliError {
     }
 }
 
+/// Exit code when stdout is closed under the command (`EPIPE`): the
+/// status a shell reports for a process killed by `SIGPIPE`. `main`
+/// exits with it without printing an error.
+pub const EXIT_BROKEN_PIPE: i32 = 141;
+
+/// Writes to stdout. A closed pipe ends the command with
+/// [`EXIT_BROKEN_PIPE`]; any other write error is a runtime failure.
+fn emit(args: fmt::Arguments<'_>) -> Result<(), CliError> {
+    use std::io::{ErrorKind, Write};
+    std::io::stdout()
+        .lock()
+        .write_fmt(args)
+        .map_err(|e| match e.kind() {
+            ErrorKind::BrokenPipe => CliError {
+                message: "stdout closed".into(),
+                code: EXIT_BROKEN_PIPE,
+            },
+            _ => failure(format!("cannot write to stdout: {e}")),
+        })
+}
+
+/// `println!` through [`emit`], returning its error from the enclosing
+/// function.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 /// Parsed command line.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Command {
@@ -117,9 +146,11 @@ pub enum Command {
         runs: usize,
         /// Base seed.
         seed: u64,
-        /// Worker threads for iterative methods: `None` sequential,
-        /// `Some(0)` auto-detect, `Some(n)` exactly `n`. The result is
-        /// bit-identical for every setting.
+        /// `--threads`, resolved by [`resolve_threads`]: the runs (and
+        /// k-way subtrees) use every CPU when `None` or `Some(0)`, at most
+        /// `n` with `Some(n)`; for `ml` any value selects the V-cycle's
+        /// intra-run workers instead. The result is bit-identical for
+        /// every count.
         threads: Option<usize>,
         /// Optional path for the node→side assignment output.
         assign: Option<String>,
@@ -295,16 +326,15 @@ result line reports both objectives (hyperedge cut and connectivity
 lambda-1), per-part sizes and weights; --assign then writes node->part
 numbers. submit forwards --k/--budgets on the wire; infeasible budgets
 fail the job with a typed message.
---threads fans the runs of iterative methods over N worker threads
-(0 = auto-detect); the result is bit-identical to the sequential run.
-With --k, sibling subtrees of the recursion run concurrently over all
-CPUs by default; --threads N caps subtrees and runs at N threads in all,
-and the k-way result is identical at every count.
-For --method ml, --threads instead parallelizes *inside* each V-cycle
-(deterministic coarsening + synchronous-round refinement; the result is
-bit-identical at every thread count, but differs from the sequential
-engine, which uses the classic algorithms); k-way subtrees then run one
-at a time.
+partition runs the best-of-R runs of iterative methods (and, with --k,
+the sibling subtrees of the recursion) on every CPU by default;
+--threads N caps them at N threads in all (0 = every CPU). The result
+is bit-identical at every count.
+For --method ml, --threads (or --ml-threads) instead sets the workers
+*inside* each V-cycle (deterministic coarsening + synchronous-round
+refinement; bit-identical at every count, but a different algorithm
+than the default classic V-cycle); runs and subtrees then go one at a
+time.
 The ml method takes --ml-coarsest, --ml-starts, --ml-max-net,
 --ml-refine-passes, --ml-polish, and --ml-threads V-cycle knobs
 (partition and submit; --ml-threads N = intra-run workers, 0 = classic
@@ -882,13 +912,46 @@ fn extension(path: &str) -> &str {
         .unwrap_or("")
 }
 
-/// Maps the `--threads` setting to a parallelism policy.
-pub fn thread_policy(threads: Option<usize>) -> ParallelPolicy {
-    match threads {
-        None => ParallelPolicy::Sequential,
-        Some(0) => ParallelPolicy::Auto,
+/// The one `--threads` rule of `prop partition`, for the 2-way and the
+/// k-way path alike. Maps the engine, `--threads` and `--ml-threads`
+/// (`ml_intra`) to `(intra, policy)`: the V-cycle's intra-run workers
+/// (`spec.ml.intra`, read by `ml` only) and the policy that fans out the
+/// runs and, for k-way, the sibling subtrees.
+///
+/// Runs and subtrees use every CPU unless `--threads N` caps them at `N`
+/// (`0` = every CPU). For `ml`, `--threads` sets the intra-run workers
+/// instead of `--ml-threads`; once intra workers run (`intra` is not
+/// `Sequential`, the classic V-cycle), runs and subtrees go one at a
+/// time. Every count gives the bit-identical result.
+pub fn resolve_threads(
+    name: EngineName,
+    threads: Option<usize>,
+    ml_intra: ParallelPolicy,
+) -> (ParallelPolicy, ParallelPolicy) {
+    let workers = match threads {
+        None | Some(0) => ParallelPolicy::Auto,
         Some(n) => ParallelPolicy::Threads(n),
+    };
+    let ml = name == EngineName::Ml;
+    let intra = if ml && threads.is_some() { workers } else { ml_intra };
+    if ml && intra != ParallelPolicy::Sequential {
+        (intra, ParallelPolicy::Sequential)
+    } else {
+        (intra, workers)
     }
+}
+
+/// Parses `--method` and applies [`resolve_threads`]: the engine to build
+/// and the run/driver policy.
+fn partition_spec(
+    method: &str,
+    threads: Option<usize>,
+    mut ml: MultilevelConfig,
+) -> Result<(EngineSpec, ParallelPolicy), CliError> {
+    let name = parse_method(method)?;
+    let policy;
+    (ml.intra, policy) = resolve_threads(name, threads, ml.intra);
+    Ok((EngineSpec { name, ml }, policy))
 }
 
 /// Runs the named method on a graph with the default multilevel knobs;
@@ -903,9 +966,9 @@ pub fn run_method(
     balance: BalanceConstraint,
     runs: usize,
     seed: u64,
-    policy: ParallelPolicy,
+    threads: Option<usize>,
 ) -> Result<RunResult, CliError> {
-    run_method_ml(method, graph, balance, runs, seed, policy, MultilevelConfig::default())
+    run_method_ml(method, graph, balance, runs, seed, threads, MultilevelConfig::default())
 }
 
 /// Parses a `--method` name against the engine registry.
@@ -914,11 +977,8 @@ fn parse_method(method: &str) -> Result<EngineName, CliError> {
 }
 
 /// Runs the named method on a graph. Iterative methods fan their runs
-/// out according to `policy`; global (one-shot) methods ignore it. For
-/// `ml` the policy instead parallelizes *inside* each V-cycle
-/// (deterministic coarsening + synchronous-round refinement, bit-identical
-/// at every thread count) and the runs themselves stay sequential, so the
-/// multi-start seed stream order is fixed.
+/// out as [`resolve_threads`] says for `threads` (`--threads`); global
+/// (one-shot) methods ignore it.
 ///
 /// # Errors
 ///
@@ -929,22 +989,10 @@ pub fn run_method_ml(
     balance: BalanceConstraint,
     runs: usize,
     seed: u64,
-    mut policy: ParallelPolicy,
+    threads: Option<usize>,
     ml: MultilevelConfig,
 ) -> Result<RunResult, CliError> {
-    let mut spec = EngineSpec {
-        name: parse_method(method)?,
-        ml,
-    };
-    if spec.name == EngineName::Ml {
-        // --threads routes to the intra-run policy; an explicit
-        // --ml-threads (already in `ml.intra`) wins when --threads is
-        // absent.
-        if policy != ParallelPolicy::Sequential {
-            spec.ml.intra = policy;
-        }
-        policy = ParallelPolicy::Sequential;
-    }
+    let (spec, policy) = partition_spec(method, threads, ml)?;
     match spec.build(seed, runs) {
         Engine::Iterative(engine) => engine.run_multi_parallel(graph, balance, runs, seed, policy),
         Engine::Global(engine) => engine.partition(graph, balance),
@@ -952,47 +1000,11 @@ pub fn run_method_ml(
     .map_err(|e| failure(e.to_string()))
 }
 
-/// Builds the 2-way engine the recursive k-way driver recurses with;
-/// one-shot global methods have no `improve` step to recurse with and
-/// are rejected. Returns the engine and the driver's policy, which fans
-/// out both the sibling subtrees and each bisection's runs: every CPU
-/// without `--threads`, at most `N` with it. `ml` routes `--threads` (or
-/// `--ml-threads`) to the intra-run workers instead and then keeps the
-/// driver sequential, because those workers already use the cores.
-fn kway_engine(
-    method: &str,
-    seed: u64,
-    threads: Option<usize>,
-    ml: MultilevelConfig,
-) -> Result<(Box<dyn Partitioner>, ParallelPolicy), CliError> {
-    let mut spec = EngineSpec {
-        name: parse_method(method)?,
-        ml,
-    };
-    let mut policy = match threads {
-        None => ParallelPolicy::Auto,
-        Some(_) => thread_policy(threads),
-    };
-    if spec.name == EngineName::Ml {
-        if threads.is_some() {
-            spec.ml.intra = policy;
-        }
-        policy = if spec.ml.intra == ParallelPolicy::Sequential {
-            ParallelPolicy::Auto
-        } else {
-            ParallelPolicy::Sequential
-        };
-    }
-    let engine = spec.build(seed, 0).iterative().ok_or_else(|| {
-        usage(format!(
-            "method {method:?} cannot drive k-way recursion (use an iterative method)"
-        ))
-    })?;
-    Ok((engine, policy))
-}
-
-/// Runs the recursive k-way driver for `prop partition --k/--budgets`
-/// and prints the result line.
+/// Runs the recursive k-way driver for `prop partition --k/--budgets`,
+/// recursing with the named 2-way engine; one-shot global methods have
+/// no `improve` step to recurse with and are rejected. The sibling
+/// subtrees and each bisection's runs fan out as [`resolve_threads`]
+/// says for `threads` (`--threads`).
 ///
 /// # Errors
 ///
@@ -1010,8 +1022,13 @@ pub fn run_kway(
     seed: u64,
     threads: Option<usize>,
     ml: MultilevelConfig,
-) -> Result<KwayPartition, CliError> {
-    let (engine, policy) = kway_engine(method, seed, threads, ml)?;
+) -> Result<KwayReport, CliError> {
+    let (spec, policy) = partition_spec(method, threads, ml)?;
+    let engine = spec.build(seed, 0).iterative().ok_or_else(|| {
+        usage(format!(
+            "method {method:?} cannot drive k-way recursion (use an iterative method)"
+        ))
+    })?;
     let config = KwayConfig {
         k,
         budgets,
@@ -1021,20 +1038,7 @@ pub fn run_kway(
         r2,
         policy,
     };
-    let report =
-        partition_kway(graph, engine.as_ref(), &config).map_err(|e| failure(e.to_string()))?;
-    let partition = report.partition;
-    let sizes: Vec<String> = partition.block_sizes().iter().map(usize::to_string).collect();
-    let weights: Vec<String> = partition.part_weights().iter().map(f64::to_string).collect();
-    println!(
-        "method={method} k={k} cut={} connectivity={} parts={} weights={} passes={}",
-        partition.cut_cost(graph),
-        partition.connectivity_cost(graph),
-        sizes.join("/"),
-        weights.join(","),
-        report.total_passes
-    );
-    Ok(partition)
+    partition_kway(graph, engine.as_ref(), &config).map_err(|e| failure(e.to_string()))
 }
 
 /// Renders the node→part assignment of a k-way partition (one
@@ -1069,7 +1073,22 @@ pub fn render_assignment(graph: &Hypergraph, result: &RunResult) -> String {
     out
 }
 
-/// Executes a parsed command, writing human output via `println!`.
+/// Streams a job's event log to stdout, one JSON line per event, and
+/// returns the terminal `done` line. After a failed write the rest of
+/// the stream is drained unprinted and the write error returned.
+fn watch_events(client: &mut Client, job: u64) -> Result<Json, CliError> {
+    let mut written = Ok(());
+    let done = client
+        .watch(job, |event| {
+            if written.is_ok() {
+                written = emit(format_args!("{}\n", event.render()));
+            }
+        })
+        .map_err(|e| failure(e.to_string()))?;
+    written.map(|()| done)
+}
+
+/// Executes a parsed command, writing human output to stdout.
 ///
 /// # Errors
 ///
@@ -1077,19 +1096,19 @@ pub fn render_assignment(graph: &Hypergraph, result: &RunResult) -> String {
 pub fn run(command: Command) -> Result<(), CliError> {
     match command {
         Command::Help => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         Command::Stats { file } => {
             let (graph, report) = load_netlist_reported(&file)?;
-            println!("{}", graph.stats());
-            println!(
+            outln!("{}", graph.stats());
+            outln!(
                 "unit net costs: {}; unit node sizes: {}",
                 graph.has_unit_weights(),
                 graph.has_unit_node_weights()
             );
             if let Some(report) = report {
-                println!(
+                outln!(
                     "snapshot: {} bytes loaded via {} in {} ms",
                     report.bytes, report.mode, report.millis
                 );
@@ -1099,7 +1118,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
         Command::Convert { input, output } => {
             let graph = load_netlist(&input)?;
             write_netlist(&graph, &output)?;
-            println!("wrote {} ({})", output, graph.stats());
+            outln!("wrote {} ({})", output, graph.stats());
             Ok(())
         }
         Command::Generate { source, seed, out } => {
@@ -1116,9 +1135,9 @@ pub fn run(command: Command) -> Result<(), CliError> {
             match out {
                 Some(path) => {
                     write_netlist(&graph, &path)?;
-                    println!("wrote {} ({})", path, graph.stats());
+                    outln!("wrote {} ({})", path, graph.stats());
                 }
-                None => print!("{}", format::write_hgr(&graph)),
+                None => emit(format_args!("{}", format::write_hgr(&graph)))?,
             }
             Ok(())
         }
@@ -1136,31 +1155,45 @@ pub fn run(command: Command) -> Result<(), CliError> {
             budgets,
         } => {
             let graph = load_netlist(&file)?;
-            if k != 2 || budgets.is_some() {
-                let partition =
+            // The assignment file is written before anything is printed,
+            // so a closed stdout cannot lose it.
+            let (line, assignment) = if k != 2 || budgets.is_some() {
+                let report =
                     run_kway(&method, &graph, k, budgets, r1, r2, runs, seed, threads, ml)?;
-                if let Some(path) = assign {
-                    std::fs::write(&path, render_kway_assignment(&graph, &partition))
-                        .map_err(|e| failure(format!("cannot write {path}: {e}")))?;
-                    println!("assignment written to {path}");
-                }
-                return Ok(());
-            }
-            let balance = BalanceConstraint::weighted(r1, r2, &graph)
-                .map_err(|e| usage(e.to_string()))?;
-            let result =
-                run_method_ml(&method, &graph, balance, runs, seed, thread_policy(threads), ml)?;
-            println!(
-                "method={method} cut={} sides={}A/{}B passes={}",
-                result.cut_cost,
-                result.partition.count(Side::A),
-                result.partition.count(Side::B),
-                result.total_passes
-            );
-            if let Some(path) = assign {
-                std::fs::write(&path, render_assignment(&graph, &result))
+                let partition = &report.partition;
+                let sizes: Vec<String> =
+                    partition.block_sizes().iter().map(usize::to_string).collect();
+                let weights: Vec<String> =
+                    partition.part_weights().iter().map(f64::to_string).collect();
+                let line = format!(
+                    "method={method} k={k} cut={} connectivity={} parts={} weights={} passes={}",
+                    partition.cut_cost(&graph),
+                    partition.connectivity_cost(&graph),
+                    sizes.join("/"),
+                    weights.join(","),
+                    report.total_passes
+                );
+                (line, assign.is_some().then(|| render_kway_assignment(&graph, partition)))
+            } else {
+                let balance = BalanceConstraint::weighted(r1, r2, &graph)
+                    .map_err(|e| usage(e.to_string()))?;
+                let result = run_method_ml(&method, &graph, balance, runs, seed, threads, ml)?;
+                let line = format!(
+                    "method={method} cut={} sides={}A/{}B passes={}",
+                    result.cut_cost,
+                    result.partition.count(Side::A),
+                    result.partition.count(Side::B),
+                    result.total_passes
+                );
+                (line, assign.is_some().then(|| render_assignment(&graph, &result)))
+            };
+            if let (Some(path), Some(text)) = (&assign, assignment) {
+                std::fs::write(path, text)
                     .map_err(|e| failure(format!("cannot write {path}: {e}")))?;
-                println!("assignment written to {path}");
+            }
+            outln!("{line}");
+            if let Some(path) = assign {
+                outln!("assignment written to {path}");
             }
             Ok(())
         }
@@ -1202,13 +1235,13 @@ pub fn run(command: Command) -> Result<(), CliError> {
             };
             let handle = prop_serve::start(&config)
                 .map_err(|e| failure(format!("cannot start on {addr}: {e}")))?;
-            println!(
+            outln!(
                 "prop-serve listening on {} ({workers} workers, queue capacity {queue_cap}, \
                  store {store_dir}{cluster_note})",
                 handle.addr()
             );
             handle.join();
-            println!("prop-serve drained and stopped");
+            outln!("prop-serve drained and stopped");
             Ok(())
         }
         Command::Submit {
@@ -1272,7 +1305,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
             };
             let mut client = connect_daemon(&addr)?;
             let response = client.submit(&request).map_err(|e| failure(e.to_string()))?;
-            println!("{}", response.render());
+            outln!("{}", response.render());
             let ok = response.get("ok").and_then(Json::as_bool) == Some(true);
             let failed = response.get("status").and_then(Json::as_str) == Some("failed");
             if !ok || failed {
@@ -1302,7 +1335,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
             };
             let mut client = connect_daemon(&addr)?;
             let response = client.batch(&spec).map_err(|e| failure(e.to_string()))?;
-            println!("{}", response.render());
+            outln!("{}", response.render());
             if response.get("ok").and_then(Json::as_bool) != Some(true) {
                 return Err(failure("the coordinator rejected the batch"));
             }
@@ -1315,9 +1348,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 .ok_or_else(|| failure("batch response carries no job id"))?;
             // Stream the event log: one JSON line per progress/result
             // event, ending with the terminal `done` line.
-            let done = client
-                .watch(job, |event| println!("{}", event.render()))
-                .map_err(|e| failure(e.to_string()))?;
+            let done = watch_events(&mut client, job)?;
             let completed = done.get("ok").and_then(Json::as_bool) == Some(true)
                 && done.get("status").and_then(Json::as_str) == Some("completed");
             if !completed {
@@ -1371,7 +1402,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
             };
             let mut client = connect_daemon(&addr)?;
             let response = client.upload(&request).map_err(|e| failure(e.to_string()))?;
-            println!("{}", response.render());
+            outln!("{}", response.render());
             if response.get("ok").and_then(Json::as_bool) != Some(true) {
                 return Err(failure("the daemon rejected the upload"));
             }
@@ -1385,11 +1416,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
         } => {
             let mut client = connect_daemon(&addr)?;
             if verb == "watch" {
-                let done = client
-                    .watch(job.expect("parser enforces --job"), |event| {
-                        println!("{}", event.render());
-                    })
-                    .map_err(|e| failure(e.to_string()))?;
+                let done = watch_events(&mut client, job.expect("parser enforces --job"))?;
                 if done.get("ok").and_then(Json::as_bool) != Some(true) {
                     return Err(failure("ctl watch failed"));
                 }
@@ -1407,7 +1434,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 other => return Err(usage(format!("unknown ctl verb {other:?}"))),
             }
             .map_err(|e| failure(e.to_string()))?;
-            println!("{}", response.render());
+            outln!("{}", response.render());
             if response.get("ok").and_then(Json::as_bool) != Some(true) {
                 return Err(failure(format!("ctl {verb} failed")));
             }
@@ -1873,11 +1900,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The whole `--threads` rule, as one table. `resolve_threads` takes
+    /// no `k`: the 2-way and the k-way path both resolve through it
+    /// (`partition_spec`), so every row holds for both.
     #[test]
-    fn thread_policy_mapping() {
-        assert_eq!(thread_policy(None), ParallelPolicy::Sequential);
-        assert_eq!(thread_policy(Some(0)), ParallelPolicy::Auto);
-        assert_eq!(thread_policy(Some(3)), ParallelPolicy::Threads(3));
+    fn resolve_threads_table() {
+        use ParallelPolicy::{Auto, Sequential, Threads};
+        let flat = [EngineName::Prop, EngineName::Fm, EngineName::Sa];
+        // Flat engines: the runs use every CPU unless --threads caps them;
+        // `ml.intra` passes through unread.
+        for name in flat {
+            for ml_intra in [Sequential, Threads(2)] {
+                for (threads, policy) in [
+                    (None, Auto),
+                    (Some(0), Auto),
+                    (Some(1), Threads(1)),
+                    (Some(3), Threads(3)),
+                ] {
+                    assert_eq!(
+                        resolve_threads(name, threads, ml_intra),
+                        (ml_intra, policy),
+                        "{name} --threads {threads:?}"
+                    );
+                }
+            }
+        }
+        // ml: (--threads, --ml-threads as ml.intra) -> (intra, policy).
+        let ml = [
+            // Classic V-cycle, runs on every CPU.
+            (None, Sequential, (Sequential, Auto)),
+            // --threads selects the intra-run workers; runs go one at a time.
+            (Some(0), Sequential, (Auto, Sequential)),
+            (Some(1), Sequential, (Threads(1), Sequential)),
+            (Some(3), Sequential, (Threads(3), Sequential)),
+            // --ml-threads alone keeps its workers; --threads overrides it.
+            (None, Threads(2), (Threads(2), Sequential)),
+            (Some(0), Threads(2), (Auto, Sequential)),
+            (Some(1), Threads(2), (Threads(1), Sequential)),
+            (Some(3), Threads(2), (Threads(3), Sequential)),
+        ];
+        for (threads, ml_intra, expect) in ml {
+            assert_eq!(
+                resolve_threads(EngineName::Ml, threads, ml_intra),
+                expect,
+                "ml --threads {threads:?} ml.intra {ml_intra:?}"
+            );
+        }
     }
 
     #[test]
@@ -1894,27 +1962,25 @@ mod tests {
         .unwrap();
         let balance = BalanceConstraint::new(0.45, 0.55, 40).unwrap();
         for method in EngineName::ALL.map(EngineName::as_str) {
-            let result =
-                run_method(method, &graph, balance, 2, 0, ParallelPolicy::Sequential).unwrap();
+            let result = run_method(method, &graph, balance, 2, 0, None).unwrap();
             assert!(result.partition.is_balanced(balance), "{method}");
-            let par =
-                run_method(method, &graph, balance, 2, 0, ParallelPolicy::Threads(2)).unwrap();
+            let one = run_method(method, &graph, balance, 2, 0, Some(1)).unwrap();
+            let par = run_method(method, &graph, balance, 2, 0, Some(2)).unwrap();
             if method == "ml" {
                 // For ml, --threads engages the deterministic
                 // intra-parallel V-cycle — a different algorithm than the
-                // sequential engine, but bit-identical across thread
+                // default classic engine, but bit-identical across thread
                 // counts.
                 assert!(par.partition.is_balanced(balance), "{method}");
-                let one =
-                    run_method(method, &graph, balance, 2, 0, ParallelPolicy::Threads(1)).unwrap();
                 assert_eq!(par, one, "{method}");
             } else {
-                // Fanned-out runs must reproduce the sequential result
-                // exactly.
+                // Runs on every CPU, on one, and on two give the same
+                // result exactly.
+                assert_eq!(one, result, "{method}");
                 assert_eq!(par, result, "{method}");
             }
         }
-        assert!(run_method("nope", &graph, balance, 1, 0, ParallelPolicy::Sequential).is_err());
+        assert!(run_method("nope", &graph, balance, 1, 0, None).is_err());
     }
 
     #[test]
@@ -1938,7 +2004,7 @@ mod tests {
         )
         .unwrap();
         let balance = BalanceConstraint::bisection(10);
-        let result = run_method("fm", &graph, balance, 1, 0, ParallelPolicy::Sequential).unwrap();
+        let result = run_method("fm", &graph, balance, 1, 0, None).unwrap();
         let text = render_assignment(&graph, &result);
         assert_eq!(text.lines().count(), 10);
         assert!(text.lines().all(|l| l.ends_with(" A") || l.ends_with(" B")));

@@ -1,6 +1,6 @@
 //! The `prop` binary: thin wrapper over the testable library half.
 
-use prop_cli::{parse_args, run, USAGE};
+use prop_cli::{parse_args, run, EXIT_BROKEN_PIPE, USAGE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -13,7 +13,10 @@ fn main() {
         }
     };
     if let Err(e) = run(command) {
-        eprintln!("error: {e}");
+        // A reader that closed stdout early is not an error worth a word.
+        if e.code != EXIT_BROKEN_PIPE {
+            eprintln!("error: {e}");
+        }
         std::process::exit(e.code);
     }
 }

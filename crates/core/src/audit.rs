@@ -64,9 +64,10 @@ pub struct RefinementRecord<'a> {
 }
 
 /// Borrowed view of an engine's per-net incremental hot state: for each
-/// net, the packed [`NetHot`] record with both sides' unlocked-pin stay
-/// probability products, pin counts, and locked-pin counts (the halves of
-/// the Eqn. 2 bookkeeping plus the Eqn. 3–4 cut-ness counts).
+/// net, the packed [`NetHot`] record with both sides' effective stay
+/// probability products (exactly 0 on a side holding a locked pin) and
+/// occupancy flags (the Eqn. 2 bookkeeping plus the Eqn. 3–4 cut-ness
+/// test).
 ///
 /// [`NetHot`]: crate::prop::NetHot
 pub type NetProductsView<'a> = &'a [crate::prop::NetHot];
@@ -93,8 +94,8 @@ pub struct MoveRecord<'a> {
     pub locked: &'a [bool],
     /// Per-node move probabilities (PROP only).
     pub probabilities: Option<&'a [f64]>,
-    /// Per net and side, the engine's unlocked-probability products and
-    /// locked pin counts (PROP only). Unlike the gain table, these must
+    /// Per net and side, the engine's effective products and occupancy
+    /// flags (PROP only). Unlike the gain table, these must
     /// always agree with a from-scratch rebuild from [`probabilities`]:
     /// the moved node's nets are recomputed exactly and probability
     /// refreshes use a drift-free ratio update.

@@ -9,11 +9,13 @@
 //!
 //! * per node — probability, gain, lock flag, epoch mark, recency stamp
 //!   (five parallel `Vec`s);
-//! * per net — one packed [`NetHot`] record holding both sides' unlocked
-//!   products, pin counts, and locked-pin counts plus the net weight, so
-//!   the gain inner loop ([`Engine::compute_gain`]) touches exactly one
-//!   cache line per incident net instead of gathering from four separate
-//!   arrays (products, locked counts, cut pin counts, net weights).
+//! * per net — one packed 32-byte [`NetHot`] record holding both sides'
+//!   effective products and occupancy flags, the net weight, and the
+//!   net's product-clock tick, so a §3.4 refresh ([`Engine::refresh_node`])
+//!   — staleness check, then gain ([`Engine::compute_gain`]) — touches
+//!   exactly one record per incident net instead of gathering from
+//!   separate arrays (products, locked counts, cut pin counts, net
+//!   weights, ticks).
 //!
 //! The refinement fixed point is *dirty-net incremental*: after the first
 //! full product/gain sweep, an iteration only recomputes the nets touched
@@ -43,23 +45,32 @@ use prop_netlist::{Hypergraph, NetId, NodeId};
 /// keeps the key at 16 bytes — two per cache line in the heap backend.
 type GainKey = (OrderedF64, u32, u32);
 
-/// Packed per-net hot state: everything [`Engine::compute_gain`] needs
-/// about one net, in one record.
+/// Packed per-net hot state: everything [`Engine::compute_gain`] and the
+/// staleness check of [`Engine::refresh_node`] need about one net, in one
+/// 32-byte record.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct NetHot {
-    /// Per side: product of `p(x)` over *unlocked* pins (Eqn. 2).
+    /// Per side: the *effective* stay product of Eqn. 2 — the product of
+    /// `p(x)` over the side's pins, which is exactly `0.0` once any of
+    /// them is locked (locked probability is 0, and `0.0` survives every
+    /// later ratio update).
     pub prod: [f64; 2],
-    /// Per side: total pin count — the cut-ness test of Eqns. 3–4.
-    /// Maintained by the same per-net recomputation as the products, so
-    /// it always agrees with the incremental [`CutState`].
-    pub pins: [u32; 2],
-    /// Per side: number of locked pins. A positive count zeroes the
-    /// side's effective product (locked probability is 0).
-    pub locked: [u32; 2],
     /// The net weight, copied from the graph at engine construction so
     /// the gain loop reads no second array.
     pub weight: f64,
+    /// Product-clock value of the net's last modification. Every tick
+    /// is re-stamped when a pass rebuilds its products, so only ticks of
+    /// the same pass are ever compared.
+    pub tick: u32,
+    /// Per side: whether the side holds any pin — the cut-ness test of
+    /// Eqns. 3–4. Maintained by the same per-net recomputation as the
+    /// products, so it always agrees with the incremental [`CutState`].
+    pub occupied: [bool; 2],
 }
+
+// One record per incident net is the point of the packing: two fit in a
+// 64-byte cache line.
+const _: () = assert!(std::mem::size_of::<NetHot>() == 32);
 
 /// The ordered-gain container pair (one per side) behind move selection.
 /// All variants rank by [`GainKey`] and are observationally identical;
@@ -78,7 +89,7 @@ pub(crate) struct Engine<'a> {
     /// Current probabilistic gains.
     gain: Vec<f64>,
     locked: Vec<bool>,
-    /// Per-net packed products / pin counts / locked counts / weight.
+    /// Per-net packed products / occupancy / weight / tick.
     nets: Vec<NetHot>,
     /// Unlocked nodes of each side ranked by gain.
     store: GainStore,
@@ -92,18 +103,17 @@ pub(crate) struct Engine<'a> {
     net_epoch: u32,
     /// Nets whose products must be recomputed this refinement iteration.
     dirty_nets: Vec<u32>,
-    /// Monotonic product clock: bumped before every batch of per-net
-    /// product modifications. Orders product writes against gain reads.
-    clock: u64,
-    /// Per net: clock value of its last product modification.
-    net_tick: Vec<u64>,
+    /// Product clock: bumped before every batch of per-net product
+    /// modifications ([`Engine::tick`]), whose nets record it in
+    /// [`NetHot::tick`]. Orders product writes against gain reads.
+    clock: u32,
     /// Per node: clock value at which its stored gain's inputs were read.
     /// A node none of whose nets ticked since is *provably fresh*: a
     /// refresh would recompute the bit-identical gain (same products,
     /// same own probability — a probability change always ticks the
     /// node's own nets), push nothing, and change no probability, so it
     /// is skipped outright ([`Engine::refresh_node`]).
-    node_tick: Vec<u64>,
+    node_tick: Vec<u32>,
     /// Per-node recency stamp of its current selection key.
     stamp: Vec<u32>,
     next_stamp: u32,
@@ -130,9 +140,9 @@ impl<'a> Engine<'a> {
             .nets()
             .map(|net| NetHot {
                 prod: [1.0; 2],
-                pins: [0; 2],
-                locked: [0; 2],
                 weight: graph.net_weight(net),
+                tick: 0,
+                occupied: [false; 2],
             })
             .collect();
         let store = match config.selection {
@@ -156,7 +166,6 @@ impl<'a> Engine<'a> {
             net_epoch: 0,
             dirty_nets: Vec::with_capacity(e),
             clock: 0,
-            net_tick: vec![0; e],
             node_tick: vec![0; n],
             stamp: vec![0; n],
             next_stamp: 0,
@@ -395,7 +404,7 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// Rebuilds every net's products, pin counts, and locked counts.
+    /// Rebuilds every net's products and occupancy flags.
     fn rebuild_products(&mut self, partition: &Bipartition) {
         for net in self.graph.nets() {
             self.recompute_net(net, partition);
@@ -404,28 +413,41 @@ impl<'a> Engine<'a> {
 
     /// Exactly recomputes one net's hot record from current probabilities
     /// and sides — O(q); used for all nets incident to a moved node,
-    /// avoiding multiplicative drift entirely. The per-side pin counts
-    /// come for free from the same walk.
+    /// avoiding multiplicative drift entirely. The occupancy flags come
+    /// for free from the same walk. A locked pin's probability is exactly
+    /// 0, so multiplying it in yields the locked side's effective product
+    /// of 0 without a branch; a side without locked pins multiplies the
+    /// same factors in the same CSR order as an unlocked-only product.
     fn recompute_net(&mut self, net: NetId, partition: &Bipartition) {
         let mut prod = [1.0f64; 2];
-        let mut locked_cnt = [0u32; 2];
-        let mut pins = [0u32; 2];
+        let mut occupied = [false; 2];
         for &x in self.graph.pins_of(net) {
             let s = partition.side(x).index();
-            pins[s] += 1;
-            if self.locked[x.index()] {
-                locked_cnt[s] += 1;
-            } else {
-                prod[s] *= self.p[x.index()];
-            }
+            occupied[s] = true;
+            prod[s] *= self.p[x.index()];
         }
+        let tick = self.tick();
         let hot = &mut self.nets[net.index()];
         hot.prod = prod;
-        hot.pins = pins;
-        hot.locked = locked_cnt;
-        self.clock += 1;
-        self.net_tick[net.index()] = self.clock;
+        hot.occupied = occupied;
+        hot.tick = tick;
         prof::count_net_recompute();
+    }
+
+    /// Advances the product clock and returns the new value. On the u32
+    /// wrap every node is made stale (node ticks 0, net ticks 1): a forced
+    /// recompute is always safe, because the skip in
+    /// [`Engine::refresh_node`] is only an optimisation.
+    fn tick(&mut self) -> u32 {
+        self.clock = match self.clock.checked_add(1) {
+            Some(clock) => clock,
+            None => {
+                self.node_tick.fill(0);
+                self.nets.iter_mut().for_each(|hot| hot.tick = 1);
+                1
+            }
+        };
+        self.clock
     }
 
     fn recompute_all_gains(&mut self, partition: &Bipartition) {
@@ -449,18 +471,11 @@ impl<'a> Engine<'a> {
         for &net in self.graph.nets_of(u) {
             let hot = &self.nets[net.index()];
             let c = hot.weight;
-            let same = if hot.locked[si] > 0 {
-                0.0
-            } else {
-                (hot.prod[si] / pu).clamp(0.0, 1.0)
-            };
-            if hot.pins[oi] > 0 {
-                let other = if hot.locked[oi] > 0 {
-                    0.0
-                } else {
-                    hot.prod[oi].clamp(0.0, 1.0)
-                };
-                g += c * (same - other);
+            // A locked side's product is exactly 0, so both terms read 0
+            // there with no branch.
+            let same = (hot.prod[si] / pu).clamp(0.0, 1.0);
+            if hot.occupied[oi] {
+                g += c * (same - hot.prod[oi].clamp(0.0, 1.0));
             } else {
                 g -= c * (1.0 - same);
             }
@@ -694,7 +709,7 @@ impl<'a> Engine<'a> {
                 .graph
                 .nets_of(x)
                 .iter()
-                .all(|net| self.net_tick[net.index()] <= tick)
+                .all(|net| self.nets[net.index()].tick <= tick)
         {
             return;
         }
@@ -719,15 +734,17 @@ impl<'a> Engine<'a> {
         let old_p = self.p[x.index()];
         if new_p != old_p {
             // Incremental product update: x is unlocked and stays on its
-            // side, so only its own factor changes. Probabilities are
-            // bounded below by p_min > 0, making the division exact enough;
-            // the per-pass product rebuild resets any residual drift.
+            // side, so only its own factor changes (a locked side's 0
+            // stays 0). Probabilities are bounded below by p_min > 0,
+            // making the division exact enough; the per-pass product
+            // rebuild resets any residual drift.
             self.p[x.index()] = new_p;
             let ratio = new_p / old_p;
-            self.clock += 1;
+            let tick = self.tick();
             for &net in self.graph.nets_of(x) {
-                self.nets[net.index()].prod[si] *= ratio;
-                self.net_tick[net.index()] = self.clock;
+                let hot = &mut self.nets[net.index()];
+                hot.prod[si] *= ratio;
+                hot.tick = tick;
             }
         }
     }
@@ -826,7 +843,10 @@ mod tests {
 
         assert_eq!(engine.p, full.p);
         assert_eq!(engine.gain, full.gain);
-        assert_eq!(engine.nets, full.nets);
+        // Ticks differ by construction (the full sweeps tick every net).
+        let state =
+            |e: &Engine| -> Vec<_> { e.nets.iter().map(|h| (h.prod, h.occupied)).collect() };
+        assert_eq!(state(&engine), state(&full));
     }
 
     /// After several locked moves, the engine's incremental gains must
@@ -877,8 +897,10 @@ mod tests {
     }
 
     /// With the default (probability-refreshing) configuration, the per-net
-    /// records must stay exactly consistent with a from-scratch rebuild
-    /// from the current probabilities after every move.
+    /// records must stay exactly consistent with a from-scratch count
+    /// after every move: occupied exactly where the side holds a pin, an
+    /// effective product of exactly 0 where it holds a locked pin, and
+    /// otherwise the product of a rebuild from the current probabilities.
     #[test]
     fn products_stay_consistent_under_probability_refresh() {
         let graph = generate(&GeneratorConfig::new(40, 48, 160).with_seed(34)).unwrap();
@@ -895,6 +917,7 @@ mod tests {
         for v in graph.nodes() {
             engine.store_insert(v, partition.side(v).index());
         }
+        let mut locked_seen = false;
         for _ in 0..12 {
             let u = engine.select_move(&partition).expect("moves available");
             engine.apply_and_update(u, &mut partition, &mut cut);
@@ -902,16 +925,28 @@ mod tests {
             engine.rebuild_products(&partition);
             for net in graph.nets() {
                 let i = net.index();
-                assert_eq!(snapshot[i].locked, engine.nets[i].locked, "net {net}");
-                assert_eq!(snapshot[i].pins, engine.nets[i].pins, "net {net}");
+                let mut pins = [0u32; 2];
+                let mut locked = [0u32; 2];
+                for &x in graph.pins_of(net) {
+                    let s = partition.side(x).index();
+                    pins[s] += 1;
+                    locked[s] += u32::from(engine.locked[x.index()]);
+                }
                 for s in 0..2 {
-                    assert!(
-                        (snapshot[i].prod[s] - engine.nets[i].prod[s]).abs() < 1e-12,
-                        "net {net} side {s}"
-                    );
+                    assert_eq!(snapshot[i].occupied[s], pins[s] > 0, "net {net} side {s}");
+                    if locked[s] > 0 {
+                        locked_seen = true;
+                        assert_eq!(snapshot[i].prod[s].to_bits(), 0, "net {net} side {s}");
+                    } else {
+                        assert!(
+                            (snapshot[i].prod[s] - engine.nets[i].prod[s]).abs() < 1e-12,
+                            "net {net} side {s}"
+                        );
+                    }
                 }
             }
         }
+        assert!(locked_seen, "no net ever held a locked pin");
     }
 
     /// A full pass must leave the cut state exactly consistent with a
@@ -955,6 +990,49 @@ mod tests {
             seen[u.index()] = true;
         }
         assert!(!engine.moves.is_empty());
+    }
+
+    /// A product clock that wraps mid-pass changes nothing: the wrap makes
+    /// every node stale, and a forced refresh recomputes the same gain. An
+    /// engine started short of `u32::MAX` runs the same passes, with the
+    /// same gain tables, as a fresh one, wherever the wrap lands: in the
+    /// product rebuild, the refinement, or the move phase.
+    #[test]
+    fn clock_wrap_mid_pass_matches_a_fresh_engine() {
+        let graph = generate(&GeneratorConfig::new(120, 140, 470).with_seed(42)).unwrap();
+        let config = PropConfig::default();
+        let balance = BalanceConstraint::new(0.45, 0.55, 120).unwrap();
+        let run = |start: u32| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut partition = Bipartition::random(120, &mut rng);
+            let mut cut = CutState::new(&graph, &partition);
+            let mut engine = Engine::new(&graph, &config, balance);
+            engine.clock = start;
+            let mut passes = Vec::new();
+            loop {
+                let (committed, trace) = engine.run_pass(&mut partition, &mut cut);
+                // The whole gain table, not only the moves: a wrongly
+                // skipped refresh leaves a stale gain behind even where
+                // it changes no selection.
+                passes.push((engine.moves.clone(), trace, engine.gain.clone()));
+                if committed <= 0.0 {
+                    break;
+                }
+            }
+            ((partition, cut.cut_cost(), passes), engine.clock)
+        };
+        let (fresh, ticks) = run(0);
+        // Every fifth wrap point of the run: a wrap only misleads the
+        // skip where the clock-read order of a node and its nets
+        // straddles it, so a handful of hand-picked points can miss it.
+        for short in (1..ticks).step_by(5) {
+            let (result, clock) = run(u32::MAX - short);
+            assert!(
+                clock < u32::MAX - short,
+                "{short} ticks short of the wrap never wrapped"
+            );
+            assert_eq!(result, fresh, "{short} ticks short of the wrap");
+        }
     }
 
     /// Both selection backends must produce bit-identical passes: same

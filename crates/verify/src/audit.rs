@@ -194,27 +194,38 @@ impl Auditor for OracleAuditor {
                     marks[u], epoch,
                     "[{e}] moved node {u} missing from its own refresh sweep"
                 );
+                // The engine packs each side into an occupancy flag and an
+                // effective product that is exactly 0 once the side holds
+                // a locked pin; both must agree with the oracle's counts.
                 let rebuilt = oracle::net_products(r.graph, r.partition, p, r.locked);
                 for (net, (hot, expect)) in nets.iter().zip(&rebuilt.prod).enumerate() {
-                    assert_eq!(
-                        hot.locked, rebuilt.locked[net],
-                        "[{e}] locked pin counts of net {net} after moving {u}"
-                    );
                     let pins = oracle::naive_pins_on(
                         r.graph,
                         r.partition,
                         prop_netlist::NetId::new(net),
                     );
-                    assert_eq!(
-                        hot.pins, pins,
-                        "[{e}] pin counts of net {net} after moving {u}"
-                    );
-                    for (s, (&engine, &rebuild)) in hot.prod.iter().zip(expect).enumerate() {
-                        assert!(
-                            (engine - rebuild).abs() <= AUDIT_TOLERANCE,
-                            "[{e}] product of net {net} side {s} after moving {u}: engine \
-                             {engine} vs rebuild {rebuild}"
+                    for s in 0..2 {
+                        assert_eq!(
+                            hot.occupied[s],
+                            pins[s] > 0,
+                            "[{e}] occupancy of net {net} side {s} after moving {u}"
                         );
+                        let engine = hot.prod[s];
+                        if rebuilt.locked[net][s] > 0 {
+                            assert_eq!(
+                                engine.to_bits(),
+                                0,
+                                "[{e}] effective product of net {net} side {s} with a locked \
+                                 pin after moving {u}: {engine}"
+                            );
+                        } else {
+                            let rebuild = expect[s];
+                            assert!(
+                                (engine - rebuild).abs() <= AUDIT_TOLERANCE,
+                                "[{e}] product of net {net} side {s} after moving {u}: engine \
+                                 {engine} vs rebuild {rebuild}"
+                            );
+                        }
                     }
                 }
             }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, test, lint. Run from the repo root.
 #
-#   scripts/check.sh                # tier-1 gates only
+#   scripts/check.sh                # tier-1 gates only (build, root and
+#                                   # CLI crate tests, clippy)
 #   scripts/check.sh --audit        # also run the debug-audit (oracle) gates
 #   scripts/check.sh --bench-smoke  # also run the quick benchmark gate:
 #                                   # oracle recounts every reported cut and
@@ -43,7 +44,13 @@
 #                                   # whose budgeted rerun must respect the
 #                                   # caps, a p2 k=8 --assign file that
 #                                   # must be byte-identical at the
-#                                   # default and --threads 1, and a
+#                                   # default and --threads 1, the 2-way
+#                                   # default-vs-sequential check (p2
+#                                   # --runs 4 --assign files of prop and
+#                                   # fm byte-identical at the default and
+#                                   # --threads 1, and ml's default
+#                                   # byte-identical to the classic
+#                                   # --ml-threads 0), and a
 #                                   # daemon round-trip whose
 #                                   # k=4 submit twice in a row must be
 #                                   # bit-identical (cut + connectivity +
@@ -93,6 +100,9 @@ done
 
 cargo build --release
 cargo test -q
+# The CLI crate's own tests, including the closed-stdout test that spawns
+# the built `prop`.
+cargo test -q -p prop-cli
 cargo clippy --workspace -- -D warnings
 
 if [[ "$audit" -eq 1 ]]; then
@@ -355,6 +365,9 @@ if [[ "$kway" -eq 1 ]]; then
   cargo test -q --test kway
   # Worker threads' prof counters fold back into the caller.
   cargo test -q --features prof --test kway prof
+  # The CLI gates below drive the release binary, which the root build
+  # above does not produce.
+  cargo build --release -q -p prop-cli
 
   kway_dir="$(mktemp -d)"
   trap 'rm -rf "$kway_dir"' EXIT
@@ -398,6 +411,25 @@ if [[ "$kway" -eq 1 ]]; then
     exit 1
   fi
   echo "check.sh: p2 k=8 assignment identical at the default and --threads 1"
+
+  # The 2-way default: best-of-R runs on every CPU must write the same
+  # assignment as one run at a time, and ml's default must stay the
+  # classic V-cycle (--ml-threads 0), not the synchronous one.
+  for method in prop fm; do
+    ./target/release/prop partition "$kway_dir/p2.hgr" --method "$method" --runs 4 --assign "$kway_dir/p2.$method.auto" >/dev/null
+    ./target/release/prop partition "$kway_dir/p2.hgr" --method "$method" --runs 4 --threads 1 --assign "$kway_dir/p2.$method.t1" >/dev/null
+    if ! cmp -s "$kway_dir/p2.$method.auto" "$kway_dir/p2.$method.t1"; then
+      echo "check.sh: 2-way $method assignment differs between the default and --threads 1" >&2
+      exit 1
+    fi
+  done
+  ./target/release/prop partition "$kway_dir/p2.hgr" --method ml --runs 2 --assign "$kway_dir/p2.ml.auto" >/dev/null
+  ./target/release/prop partition "$kway_dir/p2.hgr" --method ml --runs 2 --ml-threads 0 --assign "$kway_dir/p2.ml.classic" >/dev/null
+  if ! cmp -s "$kway_dir/p2.ml.auto" "$kway_dir/p2.ml.classic"; then
+    echo "check.sh: 2-way ml default differs from the classic V-cycle (--ml-threads 0)" >&2
+    exit 1
+  fi
+  echo "check.sh: p2 2-way assignments identical at the default and --threads 1 (prop, fm) and --ml-threads 0 (ml)"
 
   # The daemon surface: the same k=4 job submitted twice over the wire
   # must be bit-identical in every k-way result field.

@@ -5,10 +5,11 @@
 //! `run_kway`) and a live daemon must agree bit for bit at k = 2 and at
 //! k = 4 uniform. Every one-shot global name is refused by the daemon and
 //! by the k-way path with a typed error, and an unknown name by every
-//! surface.
+//! surface. The CLI runs at its default thread policy, and every flat
+//! engine also at `--threads 1`, which must change nothing.
 
-use prop_cli::{run_kway, run_method, thread_policy};
-use prop_core::{partition_kway, BalanceConstraint, KwayConfig, ParallelPolicy};
+use prop_cli::{run_kway, run_method};
+use prop_core::{partition_kway, BalanceConstraint, KwayConfig};
 use prop_engines::{EngineName, EngineSpec};
 use prop_multilevel::MultilevelConfig;
 use prop_netlist::format;
@@ -18,12 +19,16 @@ use prop_serve::{engine, server, Client, Json, ServerConfig, SubmitRequest};
 const RUNS: usize = 2;
 const SEED: u64 = 17;
 
-/// The CLI `--threads` setting each engine is driven with: 1, so the CLI
-/// driver runs sequentially like the daemon's. `ml` runs without the
-/// flag, because any `--threads` switches it to the intra-parallel
-/// V-cycle, a different algorithm than the library's default.
-fn cli_threads(name: EngineName) -> Option<usize> {
-    (name != EngineName::Ml).then_some(1)
+/// The `--threads` settings each engine must agree at: the default for
+/// every engine, plus `--threads 1` for the flat ones. For `ml` any
+/// `--threads` selects the intra-parallel V-cycle, a different algorithm
+/// than the library's classic default.
+fn cli_threads(name: EngineName) -> &'static [Option<usize>] {
+    if name == EngineName::Ml {
+        &[None]
+    } else {
+        &[None, Some(1)]
+    }
 }
 
 fn submit(client: &mut Client, engine: &str, payload: &str, k: usize) -> Json {
@@ -80,6 +85,8 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
     }
 
     for name in iterative {
+        // `EngineSpec::new` is the library's default: for `ml`, the
+        // classic V-cycle.
         let library = EngineSpec::new(name)
             .build(SEED, RUNS)
             .iterative()
@@ -92,14 +99,15 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
             direct.run_cuts.clone(),
             engine::assignment_hash(direct.partition.sides()),
         );
-        let policy = thread_policy(cli_threads(name));
-        let cli = run_method(name.as_str(), &graph, balance, RUNS, SEED, policy).unwrap();
-        let cli = (
-            cli.cut_cost,
-            cli.run_cuts,
-            engine::assignment_hash(cli.partition.sides()),
-        );
-        assert_eq!(cli, expect, "{name}: CLI vs library");
+        for &threads in cli_threads(name) {
+            let cli = run_method(name.as_str(), &graph, balance, RUNS, SEED, threads).unwrap();
+            let cli = (
+                cli.cut_cost,
+                cli.run_cuts,
+                engine::assignment_hash(cli.partition.sides()),
+            );
+            assert_eq!(cli, expect, "{name} --threads {threads:?}: CLI vs library");
+        }
         let served = submit(&mut client, name.as_str(), &payload, 2);
         assert_eq!(
             served.get("status").and_then(Json::as_str),
@@ -135,25 +143,31 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
             direct.connectivity_cost(&graph),
             engine::kway_assignment_hash(direct.assignment()),
         );
-        let cli = run_kway(
-            name.as_str(),
-            &graph,
-            4,
-            None,
-            0.45,
-            0.55,
-            RUNS,
-            SEED,
-            cli_threads(name),
-            MultilevelConfig::default(),
-        )
-        .unwrap();
-        let cli = (
-            cli.cut_cost(&graph),
-            cli.connectivity_cost(&graph),
-            engine::kway_assignment_hash(cli.assignment()),
-        );
-        assert_eq!(cli, expect, "{name}: k-way CLI vs library");
+        for &threads in cli_threads(name) {
+            let cli = run_kway(
+                name.as_str(),
+                &graph,
+                4,
+                None,
+                0.45,
+                0.55,
+                RUNS,
+                SEED,
+                threads,
+                MultilevelConfig::default(),
+            )
+            .unwrap()
+            .partition;
+            let cli = (
+                cli.cut_cost(&graph),
+                cli.connectivity_cost(&graph),
+                engine::kway_assignment_hash(cli.assignment()),
+            );
+            assert_eq!(
+                cli, expect,
+                "{name} --threads {threads:?}: k-way CLI vs library"
+            );
+        }
         let served = submit(&mut client, name.as_str(), &payload, 4);
         let served = (
             number(&served, "cut"),
@@ -211,14 +225,7 @@ fn global_and_unknown_names_are_refused_with_typed_errors() {
     }
 
     assert!("nope".parse::<EngineName>().is_err());
-    let cli = run_method(
-        "nope",
-        &graph,
-        balance,
-        RUNS,
-        SEED,
-        ParallelPolicy::Sequential,
-    );
+    let cli = run_method("nope", &graph, balance, RUNS, SEED, None);
     assert_eq!(cli.unwrap_err().code, 2);
     let cancel = prop_core::CancelToken::new();
     let library = engine::execute(EngineName::Eig1, &graph, balance, RUNS, SEED, &cancel);
