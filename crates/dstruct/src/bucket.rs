@@ -65,22 +65,22 @@ impl BucketList {
         self.len
     }
 
-    /// The item capacity this list was created with.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.present.len()
-    }
-
-    /// The gain bound this list was created with.
-    #[inline]
-    pub fn max_abs_gain(&self) -> i64 {
-        self.max_abs_gain
-    }
-
     /// Returns `true` if no items are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Removes every item, keeping the allocations: the observable state
+    /// equals that of a fresh [`BucketList::new`] with the same capacity
+    /// and bound. Links and gains of absent items are never read, so only
+    /// the bucket heads and presence flags are reset — O(capacity +
+    /// buckets), with no second copy of the arrays alive.
+    pub fn clear(&mut self) {
+        self.heads.fill(NIL);
+        self.present.fill(false);
+        self.max_bucket = 0;
+        self.len = 0;
     }
 
     /// Returns `true` if `item` is currently stored.
@@ -298,6 +298,39 @@ mod tests {
     fn out_of_range_gain_panics() {
         let mut b = BucketList::new(1, 1);
         b.insert(0, 2);
+    }
+
+    #[test]
+    fn clear_matches_a_fresh_list() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut reused = BucketList::new(16, 6);
+        for round in 0..4 {
+            let mut fresh = BucketList::new(16, 6);
+            for _ in 0..40 {
+                let item = rng.gen_range(0..16);
+                let g = rng.gen_range(-6..=6);
+                for b in [&mut reused, &mut fresh] {
+                    if b.contains(item) {
+                        b.update(item, g);
+                    } else {
+                        b.insert(item, g);
+                    }
+                }
+                if rng.gen_bool(0.2) {
+                    assert!(reused.remove(item));
+                    assert!(fresh.remove(item));
+                }
+            }
+            let order = |b: &BucketList| b.iter_desc().collect::<Vec<_>>();
+            assert_eq!(order(&reused), order(&fresh), "round {round}");
+            assert_eq!(reused.len(), fresh.len());
+            assert_eq!(reused.max_gain(), fresh.max_gain());
+            reused.clear();
+            assert!(reused.is_empty());
+            assert_eq!(reused.max_gain(), None);
+            assert_eq!(reused.iter_desc().count(), 0);
+            assert!((0..16).all(|i| !reused.contains(i)));
+        }
     }
 
     #[test]

@@ -17,35 +17,56 @@
 //! the array — cheap enough to serve both the top-k refresh and the
 //! balance-feasibility probe of move selection.
 //!
-//! ```
-//! use prop_dstruct::IndexedMaxHeap;
+//! An entry is the key alone: keys carry their own id ([`HeapKey`]), so
+//! no `(key, id)` pair — and no padding after it — is stored.
 //!
+//! ```
+//! use prop_dstruct::{HeapKey, IndexedMaxHeap};
+//!
+//! #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+//! struct Key {
+//!     gain: i32,
+//!     id: u32,
+//! }
+//! impl HeapKey for Key {
+//!     fn id(&self) -> usize {
+//!         self.id as usize
+//!     }
+//! }
+//!
+//! let key = |gain, id| Key { gain, id };
 //! let mut h = IndexedMaxHeap::with_ids(3);
-//! h.insert(0, 5);
-//! h.insert(1, 9);
-//! h.update(1, 7); // one sift, no garbage left behind
-//! assert_eq!(h.peek(), Some((7, 1)));
-//! assert_eq!(h.remove(1), Some(7));
-//! assert_eq!(h.peek(), Some((5, 0)));
+//! h.insert(key(5, 0));
+//! h.insert(key(9, 1));
+//! h.update(key(7, 1)); // one sift, no garbage left behind
+//! assert_eq!(h.peek(), Some(key(7, 1)));
+//! assert_eq!(h.remove(1), Some(key(7, 1)));
+//! assert_eq!(h.peek(), Some(key(5, 0)));
 //! ```
 //!
 //! [`descend`]: IndexedMaxHeap::descend
 
 const NONE: u32 = u32::MAX;
 
-/// A binary max-heap over `Copy + Ord` keys, addressable by a dense
-/// `usize` id, with eager removal. See the module docs.
+/// A heap key that names the dense id it is stored under.
+pub trait HeapKey: Copy + Ord {
+    /// The key's id, below the heap's [`IndexedMaxHeap::with_ids`] bound.
+    fn id(&self) -> usize;
+}
+
+/// A binary max-heap over [`HeapKey`]s, addressable by their dense id,
+/// with eager removal. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedMaxHeap<K> {
-    /// `(key, id)` pairs in heap order.
-    entries: Vec<(K, u32)>,
+    /// Keys in heap order.
+    entries: Vec<K>,
     /// `id → index into entries`, or [`NONE`].
     pos: Vec<u32>,
     /// Reusable index frontier for [`IndexedMaxHeap::descend`].
     frontier: Vec<usize>,
 }
 
-impl<K: Copy + Ord> IndexedMaxHeap<K> {
+impl<K: HeapKey> IndexedMaxHeap<K> {
     /// Creates an empty heap addressable by ids `0..n`.
     pub fn with_ids(n: usize) -> Self {
         IndexedMaxHeap {
@@ -69,8 +90,8 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
 
     /// Removes every entry, retaining the allocations.
     pub fn clear(&mut self) {
-        for &(_, id) in &self.entries {
-            self.pos[id as usize] = NONE;
+        for key in &self.entries {
+            self.pos[key.id()] = NONE;
         }
         self.entries.clear();
     }
@@ -84,29 +105,29 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
     /// The stored key of `id`, if present.
     pub fn key_of(&self, id: usize) -> Option<K> {
         match self.pos.get(id) {
-            Some(&p) if p != NONE => Some(self.entries[p as usize].0),
+            Some(&p) if p != NONE => Some(self.entries[p as usize]),
             _ => None,
         }
     }
 
-    /// Inserts a new entry for `id`. The id must not already be present
+    /// Inserts `key` under its id. The id must not already be present
     /// (debug-asserted) and must be below the `with_ids` bound.
-    pub fn insert(&mut self, id: usize, key: K) {
-        debug_assert!(!self.contains(id), "insert of an id already present");
+    pub fn insert(&mut self, key: K) {
+        debug_assert!(!self.contains(key.id()), "insert of an id already present");
         let i = self.entries.len();
-        self.entries.push((key, id as u32));
-        self.pos[id] = i as u32;
+        self.entries.push(key);
+        self.pos[key.id()] = i as u32;
         self.sift_up(i);
     }
 
-    /// Replaces the key of a present `id` (debug-asserted) and restores
-    /// heap order with a single sift in whichever direction the new key
-    /// moved.
-    pub fn update(&mut self, id: usize, key: K) {
-        let i = self.pos[id] as usize;
+    /// Replaces the key stored under `key`'s id (present, debug-asserted)
+    /// and restores heap order with a single sift in whichever direction
+    /// the key moved.
+    pub fn update(&mut self, key: K) {
+        let id = key.id();
         debug_assert!(self.pos[id] != NONE, "update of an id not present");
-        let old = self.entries[i].0;
-        self.entries[i].0 = key;
+        let i = self.pos[id] as usize;
+        let old = std::mem::replace(&mut self.entries[i], key);
         if key > old {
             self.sift_up(i);
         } else if key < old {
@@ -121,36 +142,31 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
             return None;
         }
         let i = p as usize;
-        let key = self.entries[i].0;
         self.pos[id] = NONE;
-        let last = self.entries.len() - 1;
-        if i != last {
-            self.entries.swap(i, last);
-            self.pos[self.entries[i].1 as usize] = i as u32;
-        }
-        self.entries.pop();
+        let key = self.entries.swap_remove(i);
         if i < self.entries.len() {
+            self.pos[self.entries[i].id()] = i as u32;
             self.sift_up(i);
             self.sift_down(i);
         }
         Some(key)
     }
 
-    /// The maximum entry as `(key, id)`, without removing it.
+    /// The maximum key, without removing it.
     #[inline]
-    pub fn peek(&self) -> Option<(K, usize)> {
-        self.entries.first().map(|&(k, id)| (k, id as usize))
+    pub fn peek(&self) -> Option<K> {
+        self.entries.first().copied()
     }
 
-    /// Visits entries in exact descending key order, read-only, for as
-    /// long as `visit` returns `true`. Works a max-first frontier of
-    /// array indices down from the root: when an index surfaces, its key
-    /// is the largest among everything not yet visited (children are
-    /// never larger than parents), so no sorting or mutation is needed.
-    /// Visiting `k` entries costs O(k²) frontier scans over at most
-    /// `k + 1` candidates — for the small `k` of a top-k refresh or a
-    /// feasibility probe this is far cheaper than popping and restoring.
-    pub fn descend(&mut self, mut visit: impl FnMut(K, usize) -> bool) {
+    /// Visits keys in exact descending order, read-only, for as long as
+    /// `visit` returns `true`. Works a max-first frontier of array indices
+    /// down from the root: when an index surfaces, its key is the largest
+    /// among everything not yet visited (children are never larger than
+    /// parents), so no sorting or mutation is needed. Visiting `k` keys
+    /// costs O(k²) frontier scans over at most `k + 1` candidates — for
+    /// the small `k` of a top-k refresh or a feasibility probe this is far
+    /// cheaper than popping and restoring.
+    pub fn descend(&mut self, mut visit: impl FnMut(K) -> bool) {
         self.frontier.clear();
         if self.entries.is_empty() {
             return;
@@ -159,13 +175,12 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
         while !self.frontier.is_empty() {
             let mut best = 0;
             for i in 1..self.frontier.len() {
-                if self.entries[self.frontier[i]].0 > self.entries[self.frontier[best]].0 {
+                if self.entries[self.frontier[i]] > self.entries[self.frontier[best]] {
                     best = i;
                 }
             }
             let idx = self.frontier.swap_remove(best);
-            let (key, id) = self.entries[idx];
-            if !visit(key, id as usize) {
+            if !visit(self.entries[idx]) {
                 return;
             }
             for child in [2 * idx + 1, 2 * idx + 2] {
@@ -180,7 +195,7 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.entries[i].0 <= self.entries[parent].0 {
+            if self.entries[i] <= self.entries[parent] {
                 break;
             }
             self.swap_slots(i, parent);
@@ -193,10 +208,10 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut largest = i;
-            if l < len && self.entries[l].0 > self.entries[largest].0 {
+            if l < len && self.entries[l] > self.entries[largest] {
                 largest = l;
             }
-            if r < len && self.entries[r].0 > self.entries[largest].0 {
+            if r < len && self.entries[r] > self.entries[largest] {
                 largest = r;
             }
             if largest == i {
@@ -210,8 +225,8 @@ impl<K: Copy + Ord> IndexedMaxHeap<K> {
     #[inline]
     fn swap_slots(&mut self, a: usize, b: usize) {
         self.entries.swap(a, b);
-        self.pos[self.entries[a].1 as usize] = a as u32;
-        self.pos[self.entries[b].1 as usize] = b as u32;
+        self.pos[self.entries[a].id()] = a as u32;
+        self.pos[self.entries[b].id()] = b as u32;
     }
 }
 
@@ -222,69 +237,82 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
+    /// A test key carrying its id after the ordered part, as PROP's
+    /// selection key does.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+    struct Key(u64, u32);
+
+    impl HeapKey for Key {
+        fn id(&self) -> usize {
+            self.1 as usize
+        }
+    }
+
+    fn heap_of(n: usize, entries: &[(u32, u64)]) -> IndexedMaxHeap<Key> {
+        let mut h = IndexedMaxHeap::with_ids(n);
+        for &(id, k) in entries {
+            h.insert(Key(k, id));
+        }
+        h
+    }
+
     #[test]
     fn insert_peek_remove_roundtrip() {
-        let mut h = IndexedMaxHeap::with_ids(8);
-        for (id, k) in [(0, 3), (1, 9), (2, 1), (3, 7)] {
-            h.insert(id, k);
-        }
+        let mut h = heap_of(8, &[(0, 3), (1, 9), (2, 1), (3, 7)]);
         assert_eq!(h.len(), 4);
         assert!(h.contains(1));
-        assert_eq!(h.key_of(1), Some(9));
-        assert_eq!(h.peek(), Some((9, 1)));
-        assert_eq!(h.remove(1), Some(9));
-        assert_eq!(h.peek(), Some((7, 3)));
+        assert_eq!(h.key_of(1), Some(Key(9, 1)));
+        assert_eq!(h.peek(), Some(Key(9, 1)));
+        assert_eq!(h.remove(1), Some(Key(9, 1)));
+        assert_eq!(h.peek(), Some(Key(7, 3)));
         assert_eq!(h.remove(1), None);
         assert!(!h.contains(1));
         assert_eq!(h.key_of(1), None);
+        // Removing the last slot needs no sift.
+        let last = h.entries[h.len() - 1];
+        assert_eq!(h.remove(last.id()), Some(last));
+        assert_eq!(h.len(), 2);
     }
 
     #[test]
     fn update_moves_both_directions() {
-        let mut h = IndexedMaxHeap::with_ids(4);
-        for (id, k) in [(0, 10), (1, 20), (2, 30), (3, 40)] {
-            h.insert(id, k);
-        }
-        h.update(3, 5); // shrink the max: sifts down
-        assert_eq!(h.peek(), Some((30, 2)));
-        h.update(0, 99); // grow a leaf: sifts up
-        assert_eq!(h.peek(), Some((99, 0)));
+        let mut h = heap_of(4, &[(0, 10), (1, 20), (2, 30), (3, 40)]);
+        h.update(Key(5, 3)); // shrink the max: sifts down
+        assert_eq!(h.peek(), Some(Key(30, 2)));
+        h.update(Key(99, 0)); // grow a leaf: sifts up
+        assert_eq!(h.peek(), Some(Key(99, 0)));
+        assert_eq!(h.key_of(3), Some(Key(5, 3)));
     }
 
     #[test]
     fn descend_yields_exact_descending_order() {
-        let mut h = IndexedMaxHeap::with_ids(16);
-        for (id, k) in [(0, 3), (1, 9), (2, 1), (3, 7), (4, 5), (5, 8)] {
-            h.insert(id, k);
-        }
+        let mut h = heap_of(16, &[(0, 3), (1, 9), (2, 1), (3, 7), (4, 5), (5, 8)]);
         let mut out = Vec::new();
-        h.descend(|k, _| {
-            out.push(k);
+        h.descend(|k| {
+            out.push(k.0);
             true
         });
         assert_eq!(out, vec![9, 8, 7, 5, 3, 1]);
         // Early exit after two entries.
         out.clear();
-        h.descend(|k, _| {
-            out.push(k);
+        h.descend(|k| {
+            out.push(k.0);
             out.len() < 2
         });
         assert_eq!(out, vec![9, 8]);
         // Read-only: nothing changed.
         assert_eq!(h.len(), 6);
-        assert_eq!(h.peek(), Some((9, 1)));
+        assert_eq!(h.peek(), Some(Key(9, 1)));
     }
 
     #[test]
     fn clear_resets_positions() {
-        let mut h = IndexedMaxHeap::with_ids(4);
-        h.insert(0, 1);
-        h.insert(1, 2);
+        let mut h = heap_of(4, &[(0, 1), (1, 2)]);
         h.clear();
         assert!(h.is_empty());
         assert!(!h.contains(0));
-        h.insert(0, 5); // reusable after clear
-        assert_eq!(h.peek(), Some((5, 0)));
+        h.insert(Key(5, 0)); // reusable after clear
+        assert_eq!(h.peek(), Some(Key(5, 0)));
     }
 
     /// The PROP usage pattern — interleaved inserts, repositions, and
@@ -292,43 +320,43 @@ mod tests {
     #[test]
     fn randomized_ops_match_ordered_model() {
         let mut rng = StdRng::seed_from_u64(4096);
-        let mut h: IndexedMaxHeap<(u64, u32)> = IndexedMaxHeap::with_ids(64);
+        let mut h: IndexedMaxHeap<Key> = IndexedMaxHeap::with_ids(64);
         let mut current: Vec<Option<u64>> = vec![None; 64];
         let mut stamp = 0u64;
         for round in 0..5_000 {
             let id = rng.gen_range(0..64usize);
             stamp += 1;
             if rng.gen_bool(0.7) {
-                let key = (stamp, id as u32);
+                let key = Key(stamp, id as u32);
                 if current[id].is_some() {
-                    h.update(id, key);
+                    h.update(key);
                 } else {
-                    h.insert(id, key);
+                    h.insert(key);
                 }
                 current[id] = Some(stamp);
             } else {
                 assert_eq!(
                     h.remove(id),
-                    current[id].map(|s| (s, id as u32)),
+                    current[id].map(|s| Key(s, id as u32)),
                     "remove disagrees with model"
                 );
                 current[id] = None;
             }
             if round % 100 == 0 {
-                let model: BTreeSet<(u64, u32)> = current
+                let model: BTreeSet<Key> = current
                     .iter()
                     .enumerate()
-                    .filter_map(|(v, s)| s.map(|s| (s, v as u32)))
+                    .filter_map(|(v, s)| s.map(|s| Key(s, v as u32)))
                     .collect();
-                assert_eq!(h.peek(), model.iter().next_back().map(|&k| (k, k.1 as usize)));
+                assert_eq!(h.peek(), model.iter().next_back().copied());
                 assert_eq!(h.len(), model.len());
                 // Full descending walk equals the model ordering.
                 let mut out = Vec::new();
-                h.descend(|k, _| {
+                h.descend(|k| {
                     out.push(k);
                     true
                 });
-                let expect: Vec<(u64, u32)> = model.iter().rev().copied().collect();
+                let expect: Vec<Key> = model.iter().rev().copied().collect();
                 assert_eq!(out, expect);
             }
         }

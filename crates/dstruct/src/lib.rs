@@ -12,7 +12,8 @@
 //!   scans.
 //! * [`IndexedMaxHeap`] — the flat-array alternative to the tree for the
 //!   PROP gain ranking: a position map with eager removal (one sift per
-//!   reposition, read-only descending traversal). See its module docs.
+//!   reposition, read-only descending traversal) over [`HeapKey`]s, keys
+//!   that carry their own id. See its module docs.
 //! * [`PrefixTracker`] — the pass bookkeeping shared by FM, LA, and PROP:
 //!   records the immediate gain of every tentative move and finds the
 //!   best balance-feasible prefix to commit.
@@ -31,6 +32,6 @@ mod prefix;
 
 pub use avl::AvlTree;
 pub use bucket::BucketList;
-pub use indexed::IndexedMaxHeap;
+pub use indexed::{HeapKey, IndexedMaxHeap};
 pub use ordered::OrderedF64;
 pub use prefix::{BestPrefix, PrefixTracker};

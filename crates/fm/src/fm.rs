@@ -81,11 +81,8 @@ fn integral(gain: f64) -> i64 {
 
 impl GainContainer for BucketContainer {
     fn clear(&mut self) {
-        // BucketList has no O(1) clear; rebuild is cheap relative to a pass
-        // and happens once per pass.
-        let cap = self.lists[0].capacity();
-        let bound = self.lists[0].max_abs_gain();
-        self.lists = [BucketList::new(cap, bound), BucketList::new(cap, bound)];
+        // Reset in place once per pass: no second copy of the arrays.
+        self.lists.iter_mut().for_each(BucketList::clear);
     }
     fn insert(&mut self, node: u32, side: Side, gain: f64) {
         self.lists[side.index()].insert(node as usize, integral(gain));

@@ -2,10 +2,10 @@
 //!
 //! Two interchangeable matching front ends feed one contraction back end:
 //!
-//! * [`coarsen_with`] — the classic *sequential greedy* matching: nodes in
+//! * [`coarsen`] — the classic *sequential greedy* matching: nodes in
 //!   a seeded random order, each grabbing its best unmatched neighbor,
 //!   later nodes seeing earlier matches.
-//! * [`coarsen_sync_with`] — the deterministic *propose/resolve* matching
+//! * [`coarsen_sync`] — the deterministic *propose/resolve* matching
 //!   of the intra-parallel V-cycle: rounds of parallel proposals against
 //!   a frozen mate snapshot, resolved sequentially in an order ranked by
 //!   a salted seed hash (never by arrival order), so the matching is
@@ -92,13 +92,36 @@ impl CoarseLevel {
             .collect();
         Bipartition::from_sides(sides)
     }
+
+    /// Folds `next` — the level coarsened from this level's coarse
+    /// circuit — into this one: the map is composed in place
+    /// (`map[v] = next.map[map[v]]`) and this level's coarse circuit is
+    /// replaced by `next`'s and dropped. Projecting through the folded
+    /// level equals projecting through `next` and then through this
+    /// level, so the cut-exactness of both carries over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` was not coarsened from this level's circuit.
+    pub(crate) fn fold(&mut self, next: CoarseLevel) {
+        assert_eq!(
+            next.fine_nodes(),
+            self.coarse.num_nodes(),
+            "next level was not coarsened from this one"
+        );
+        for c in &mut self.map {
+            *c = next.map[*c as usize];
+        }
+        self.coarse = next.coarse;
+    }
 }
 
-/// Reusable buffers for [`coarsen_with`]. One scratch serves a whole
-/// V-cycle: every level reuses the allocations sized by the finest
-/// circuit instead of reallocating per level.
+/// The buffers of one coarsening call, sized by the circuit being
+/// coarsened. Each call builds its own and drops it on return, so the
+/// V-cycle never keeps buffers sized by the finest circuit resident while
+/// it coarsens (and later refines) the smaller levels.
 #[derive(Default, Debug)]
-pub struct CoarsenScratch {
+struct CoarsenScratch {
     order: Vec<u32>,
     mate: Vec<u32>,
     score: Vec<f64>,
@@ -110,39 +133,25 @@ pub struct CoarsenScratch {
     sort_idx: Vec<u32>,
 }
 
-/// Coarsens `fine` by one level of heavy-edge matching with a fresh
-/// scratch; see [`coarsen_with`].
-pub fn coarsen(fine: &Hypergraph, max_match_net: usize, seed: u64) -> CoarseLevel {
-    coarsen_with(fine, max_match_net, seed, &mut CoarsenScratch::default())
-}
-
 /// Coarsens `fine` by one level of heavy-edge matching: each node is
 /// matched with its most strongly connected unmatched neighbor
 /// (connectivity = Σ `w/(q−1)` over shared nets of size ≤ `max_match_net`),
 /// visiting nodes in a seeded random order. Unmatchable nodes survive as
 /// singleton supernodes.
-pub fn coarsen_with(
-    fine: &Hypergraph,
-    max_match_net: usize,
-    seed: u64,
-    scratch: &mut CoarsenScratch,
-) -> CoarseLevel {
+pub fn coarsen(fine: &Hypergraph, max_match_net: usize, seed: u64) -> CoarseLevel {
+    let scratch = &mut CoarsenScratch::default();
     let n = fine.num_nodes();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1357_9bdf_2468_ace0);
     let order = &mut scratch.order;
-    order.clear();
     order.extend(0..n as u32);
     for i in (1..n).rev() {
         order.swap(i, rng.gen_range(0..=i));
     }
 
     let mate = &mut scratch.mate;
-    mate.clear();
     mate.resize(n, UNMATCHED);
     // Scratch accumulation of connectivity scores, epoch-marked.
-    scratch.score.clear();
     scratch.score.resize(n, 0.0);
-    scratch.mark.clear();
     scratch.mark.resize(n, u32::MAX);
     let score = &mut scratch.score;
     let mark = &mut scratch.mark;
@@ -202,23 +211,12 @@ pub fn coarsen_with(
     CoarseLevel { coarse, map }
 }
 
-/// Coarsens `fine` by one level of deterministic propose/resolve matching
-/// with a fresh scratch; see [`coarsen_sync_with`].
-pub fn coarsen_sync(
-    fine: &Hypergraph,
-    max_match_net: usize,
-    seed: u64,
-    policy: ParallelPolicy,
-) -> CoarseLevel {
-    coarsen_sync_with(fine, max_match_net, seed, policy, &mut CoarsenScratch::default())
-}
-
 /// The intra-parallel coarsening front end: matching by synchronous
 /// propose/resolve rounds, contraction by chunked parallel net mapping.
 ///
 /// Each round, every unmatched node *proposes* its most strongly
 /// connected unmatched neighbor (same connectivity score and tie-breaks
-/// as [`coarsen_with`]) against a frozen snapshot of the matching —
+/// as [`coarsen`]) against a frozen snapshot of the matching —
 /// evaluated in parallel over fixed node chunks. Proposals are then
 /// *resolved* sequentially in the conflict-resolution order: nodes ranked
 /// by the salted hash `mix64(seed ⊕ RANK_SALT ⊕ node)`, ties by node id —
@@ -229,23 +227,21 @@ pub fn coarsen_sync(
 /// The result is **bit-identical for every `policy`** (including
 /// [`ParallelPolicy::Sequential`]) because chunking only schedules the
 /// proposal evaluation; it is generally a *different* matching than
-/// [`coarsen_with`]'s, whose greedy scan is order-dependent by design.
-pub fn coarsen_sync_with(
+/// [`coarsen`]'s, whose greedy scan is order-dependent by design.
+pub fn coarsen_sync(
     fine: &Hypergraph,
     max_match_net: usize,
     seed: u64,
     policy: ParallelPolicy,
-    scratch: &mut CoarsenScratch,
 ) -> CoarseLevel {
+    let scratch = &mut CoarsenScratch::default();
     let n = fine.num_nodes();
     let mate = &mut scratch.mate;
-    mate.clear();
     mate.resize(n, UNMATCHED);
 
     // The deterministic conflict-resolution order: a salted-hash ranking
     // of the node ids, fixed for the whole level.
     let order = &mut scratch.order;
-    order.clear();
     order.extend(0..n as u32);
     let rank_seed = seed ^ RANK_SALT;
     order.sort_unstable_by_key(|&u| (mix64(rank_seed ^ u64::from(u)), u));
@@ -411,8 +407,6 @@ fn map_one_net(
 fn fill_net_records_seq(fine: &Hypergraph, map: &[u32], scratch: &mut CoarsenScratch) {
     let pin_buf = &mut scratch.pin_buf;
     let net_recs = &mut scratch.net_recs;
-    pin_buf.clear();
-    net_recs.clear();
     for net in fine.nets() {
         map_one_net(fine, map, net, pin_buf, net_recs);
     }
@@ -437,8 +431,6 @@ fn fill_net_records_par(
     });
     let pin_buf = &mut scratch.pin_buf;
     let net_recs = &mut scratch.net_recs;
-    pin_buf.clear();
-    net_recs.clear();
     for (pins, recs) in chunks {
         let base = pin_buf.len() as u32;
         pin_buf.extend_from_slice(&pins);
@@ -458,7 +450,6 @@ fn build_from_records(coarse_weight: Vec<f64>, scratch: &mut CoarsenScratch) -> 
         &pin_buf[start as usize..(start + len) as usize]
     };
     let sort_idx = &mut scratch.sort_idx;
-    sort_idx.clear();
     sort_idx.extend(0..net_recs.len() as u32);
     sort_idx.sort_unstable_by(|&a, &b| {
         rec_pins(&net_recs[a as usize]).cmp(rec_pins(&net_recs[b as usize]))
@@ -563,17 +554,23 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_equivalent_to_fresh_scratch() {
-        // One scratch threaded through a chain of levels must produce the
-        // same circuits as a fresh scratch per call.
-        let mut scratch = CoarsenScratch::default();
-        let mut g = circuit(12);
-        for level_seed in 0..4 {
-            let reused = coarsen_with(&g, 32, level_seed, &mut scratch);
-            let fresh = coarsen(&g, 32, level_seed);
-            assert_eq!(reused.coarse, fresh.coarse, "level seed {level_seed}");
-            assert_eq!(reused.map, fresh.map);
-            g = reused.coarse;
+    fn folded_projection_equals_projecting_through_both_levels() {
+        let g = circuit(12);
+        let first = coarsen(&g, 32, 0);
+        let second = coarsen(&first.coarse, 32, 1);
+        let mut folded = first.clone();
+        folded.fold(second.clone());
+        assert_eq!(folded.coarse, second.coarse);
+        assert_eq!(folded.fine_nodes(), g.num_nodes());
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..5 {
+            let coarse_part = Bipartition::random(second.coarse.num_nodes(), &mut rng);
+            let through_both = first.project(&second.project(&coarse_part));
+            assert_eq!(folded.project(&coarse_part), through_both);
+            assert_eq!(
+                CutState::new(&g, &through_both).cut_cost(),
+                CutState::new(&second.coarse, &coarse_part).cut_cost()
+            );
         }
     }
 
@@ -640,10 +637,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_matching_is_deterministic_in_seed_and_reuses_scratch() {
+    fn sync_matching_is_deterministic_in_seed() {
         let g = circuit(16);
-        let mut scratch = CoarsenScratch::default();
-        let a = coarsen_sync_with(&g, 32, 5, ParallelPolicy::Threads(2), &mut scratch);
+        let a = coarsen_sync(&g, 32, 5, ParallelPolicy::Threads(2));
         let b = coarsen_sync(&g, 32, 5, ParallelPolicy::Threads(2));
         assert_eq!(a.coarse, b.coarse);
         assert_eq!(a.map, b.map);

@@ -46,7 +46,7 @@
 //! [`MultilevelConfig::intra`] parallelizes the inside of a *single*
 //! V-cycle — the production case of one large job — deterministically:
 //! coarsening switches to propose/resolve matching
-//! ([`coarsen::coarsen_sync_with`]) and refinement to synchronous rounds
+//! ([`coarsen::coarsen_sync`]) and refinement to synchronous rounds
 //! ([`prop_fm::SyncRoundFm`]), both built on the fixed-chunk
 //! [`prop_core::map_chunks`] grid whose results are independent of the
 //! worker count by construction. `Threads(1)`, `Threads(2)`,
@@ -83,7 +83,7 @@
 
 pub mod coarsen;
 
-use coarsen::{coarsen_sync_with, coarsen_with, CoarseLevel, CoarsenScratch};
+use coarsen::{coarsen, coarsen_sync, CoarseLevel};
 use prop_core::prof::{self, Phase};
 use prop_core::{
     cancel, BalanceConstraint, Bipartition, CutState, GlobalPartitioner, ImproveStats,
@@ -98,8 +98,11 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MultilevelConfig {
     /// Stop coarsening once the circuit has at most this many nodes.
+    /// Values below 2 act as 2: a one-node circuit has no bisection, so
+    /// coarsening never goes below two nodes.
     pub coarsest_nodes: usize,
-    /// Hard cap on coarsening levels (also stops when matching stalls).
+    /// Hard cap on coarsening levels built, folded ones included (also
+    /// stops when matching stalls).
     pub max_levels: usize,
     /// Number of initial bisections tried at the coarsest level.
     pub coarsest_starts: usize,
@@ -117,12 +120,16 @@ pub struct MultilevelConfig {
     ///
     /// [`standard`]: Multilevel::standard
     pub fm_converge_nodes: usize,
-    /// Weighted levels larger than this are projected through without
-    /// refinement by the [`standard`] engine: their moves are a strict
-    /// subset of the (much cheaper) moves available at the unit-weight
-    /// finest level, so refining both is redundant work.
-    ///
-    /// [`standard`]: Multilevel::standard
+    /// Weighted levels larger than this are never refined, whatever the
+    /// inner refiner: their moves are a strict subset of the (much
+    /// cheaper) moves available at the unit-weight finest level, so
+    /// refining both is redundant work. The V-cycle applies the rule
+    /// itself — no move-based pass and no flow pass at the coarsest
+    /// starts or during uncoarsening — and coarsening *folds* such a
+    /// level away as soon as the next one is built: its fine→coarse map
+    /// is composed into the next level's and its circuit is dropped, so
+    /// it is never resident below its own level. The matching seed and
+    /// `max_levels` count levels built, so folding changes no result.
     pub refine_skip_nodes: usize,
     /// PROP passes run after FM converges at unit-weight levels (the
     /// input circuit) in the [`standard`] engine; `0` disables the
@@ -136,7 +143,7 @@ pub struct MultilevelConfig {
     /// default) runs the classic sequential V-cycle. Any other policy
     /// switches the [`standard`] engine to its *deterministic
     /// intra-parallel* algorithms — propose/resolve matching
-    /// ([`coarsen::coarsen_sync_with`]) and synchronous-round refinement
+    /// ([`coarsen::coarsen_sync`]) and synchronous-round refinement
     /// ([`prop_fm::SyncRoundFm`]) — whose results are bit-identical for
     /// every worker count (`Threads(1)`, `Threads(4)`, and `Auto` all
     /// agree); the policy then only sets how wide the fixed chunk grid is
@@ -223,12 +230,12 @@ pub fn stream_seed(seed: u64, stream: SeedStream, index: u64) -> u64 {
 ///   PROP polish (`polish_passes`): PROP's probabilistic reordering
 ///   escapes the local minimum FM converged to, and this level decides
 ///   the reported cut.
-/// * **Weighted levels above `refine_skip_nodes`** — projected through
-///   without refinement (their moves are a strict subset of the finest
-///   level's).
 /// * **Weighted levels above `fm_converge_nodes`** — FM capped at
 ///   `refine_passes`.
 /// * **Smaller weighted levels** — FM to convergence.
+///
+/// Weighted levels above `refine_skip_nodes` never reach the refiner: the
+/// V-cycle folds them away (see [`MultilevelConfig::refine_skip_nodes`]).
 ///
 /// FM uses the O(1) bucket structure whenever net costs are integral
 /// (unit fine costs stay integral through coarsening, since merged nets
@@ -245,14 +252,13 @@ pub struct MlRefiner {
     sync_full: prop_fm::SyncRoundFm,
     intra: bool,
     fm_converge_nodes: usize,
-    refine_skip_nodes: usize,
     flow: FlowConfig,
 }
 
 impl MlRefiner {
     /// Builds the refiner from the tuning knobs of `config`
-    /// (`refine_passes`, `fm_converge_nodes`, `refine_skip_nodes`,
-    /// `polish_passes`, `intra`).
+    /// (`refine_passes`, `fm_converge_nodes`, `polish_passes`, `intra`,
+    /// `flow`).
     pub fn new(config: &MultilevelConfig) -> Self {
         let passes = config.refine_passes.max(1);
         MlRefiner {
@@ -276,7 +282,6 @@ impl MlRefiner {
             },
             intra: intra_engaged(config.intra),
             fm_converge_nodes: config.fm_converge_nodes,
-            refine_skip_nodes: config.refine_skip_nodes,
             flow: config.flow,
         }
     }
@@ -303,12 +308,6 @@ impl MlRefiner {
             return ImproveStats {
                 passes: fm.passes + polish.passes,
                 cut_cost: polish.cut_cost,
-            };
-        }
-        if n > self.refine_skip_nodes {
-            return ImproveStats {
-                passes: 0,
-                cut_cost: prop_core::cut_cost(graph, partition),
             };
         }
         let capped = n > self.fm_converge_nodes;
@@ -342,13 +341,8 @@ impl Partitioner for MlRefiner {
         balance: BalanceConstraint,
     ) -> ImproveStats {
         let moves = self.improve_moves(graph, partition, balance);
-        // Flow refinement escapes minima move-based passes are stuck in,
-        // but skipped weighted levels stay skipped: their corridor moves
-        // reappear more finely at the finest level.
-        if !self.flow.enabled
-            || (!(graph.has_unit_weights() && graph.has_unit_node_weights())
-                && graph.num_nodes() > self.refine_skip_nodes)
-        {
+        // Flow refinement escapes minima move-based passes are stuck in.
+        if !self.flow.enabled {
             return moves;
         }
         let flow = prop_flow::refine(graph, partition, balance, &self.flow);
@@ -399,29 +393,39 @@ impl<P: Partitioner> Multilevel<P> {
         &self.config
     }
 
-    /// Coarsens `graph` all the way down, one scratch for the whole chain.
-    /// Returns the level stack and whether a cancellation trip cut
-    /// coarsening short.
+    /// Whether the V-cycle leaves `graph` unrefined: a weighted level
+    /// above `refine_skip_nodes` (see [`MultilevelConfig::refine_skip_nodes`]).
+    fn skips(&self, graph: &Hypergraph) -> bool {
+        graph.num_nodes() > self.config.refine_skip_nodes
+            && !(graph.has_unit_weights() && graph.has_unit_node_weights())
+    }
+
+    /// Coarsens `graph` all the way down, folding every level the V-cycle
+    /// would skip into the next one as soon as that is built. Returns the
+    /// kept level stack and whether a cancellation trip cut coarsening
+    /// short.
     fn coarsen_all(&self, graph: &Hypergraph, seed: u64) -> (Vec<CoarseLevel>, bool) {
         let cfg = &self.config;
+        let floor = cfg.coarsest_nodes.max(2);
         let mut levels: Vec<CoarseLevel> = Vec::new();
-        let mut scratch = CoarsenScratch::default();
+        // Levels built, folded ones included: the matching seed index and
+        // the `max_levels` cap must not depend on what was folded.
+        let mut built = 0;
         loop {
             let fine: &Hypergraph = levels.last().map_or(graph, |l| &l.coarse);
             let fine_n = fine.num_nodes();
-            if fine_n <= cfg.coarsest_nodes || levels.len() >= cfg.max_levels {
+            if fine_n <= floor || built >= cfg.max_levels {
                 return (levels, false);
             }
             if cancel::requested() {
                 return (levels, true);
             }
             let tick = prof::start();
-            let level_seed =
-                stream_seed(seed, SeedStream::Matching, levels.len() as u64);
+            let level_seed = stream_seed(seed, SeedStream::Matching, built as u64);
             let level = if intra_engaged(cfg.intra) {
-                coarsen_sync_with(fine, cfg.max_match_net, level_seed, cfg.intra, &mut scratch)
+                coarsen_sync(fine, cfg.max_match_net, level_seed, cfg.intra)
             } else {
-                coarsen_with(fine, cfg.max_match_net, level_seed, &mut scratch)
+                coarsen(fine, cfg.max_match_net, level_seed)
             };
             prof::stop(Phase::MlCoarsen, tick);
             prof::count_ml_level();
@@ -429,7 +433,11 @@ impl<P: Partitioner> Multilevel<P> {
             if level.coarse.num_nodes() as f64 > fine_n as f64 * 0.95 {
                 return (levels, false);
             }
-            levels.push(level);
+            built += 1;
+            match levels.last_mut() {
+                Some(prev) if self.skips(&prev.coarse) => prev.fold(level),
+                _ => levels.push(level),
+            }
         }
     }
 
@@ -452,13 +460,16 @@ impl<P: Partitioner> Multilevel<P> {
 
         // Phase 2: partition the coarsest circuit. The inner improver runs
         // from several greedy weight-balanced starts; each start draws
-        // from its own seed stream (prefix-stable, see module docs).
+        // from its own seed stream (prefix-stable, see module docs). A
+        // coarsest level above `refine_skip_nodes` keeps its starts
+        // unrefined.
         let coarsest: &Hypergraph = levels.last().map_or(graph, |l| &l.coarse);
         let coarse_balance = if levels.is_empty() {
             balance
         } else {
             balance.for_graph(coarsest)?
         };
+        let refine_coarsest = !self.skips(coarsest);
         let mut best: Option<(Bipartition, f64)> = None;
         let mut passes = 0;
         let tick = prof::start();
@@ -479,8 +490,12 @@ impl<P: Partitioner> Multilevel<P> {
                 }
                 break;
             }
-            let stats = self.inner.improve(coarsest, &mut part, coarse_balance);
-            passes += stats.passes;
+            if refine_coarsest {
+                passes += self
+                    .inner
+                    .improve(coarsest, &mut part, coarse_balance)
+                    .passes;
+            }
             let cut = CutState::new(coarsest, &part).cut_cost();
             if best.as_ref().is_none_or(|&(_, b)| cut < b) {
                 best = Some((part, cut));
@@ -494,7 +509,10 @@ impl<P: Partitioner> Multilevel<P> {
         // cut-exact, so the partial result stays an honest partition of
         // the input circuit. Each level is popped and dropped once it has
         // been projected through, so the refinement of a level runs with
-        // no coarser graph or map resident — the finest one with none.
+        // no coarser graph or map resident — the finest one with none. A
+        // level above `refine_skip_nodes` is only projected through; here
+        // that can only be a weighted input circuit, since coarsening
+        // folded every such level but the coarsest.
         let mut level_cuts = Vec::with_capacity(levels.len() + 1);
         level_cuts.push(coarsest_cut);
         while let Some(level) = levels.pop() {
@@ -505,10 +523,10 @@ impl<P: Partitioner> Multilevel<P> {
             if cancel::requested() {
                 cancelled = true;
             }
-            if cancelled {
+            let fine: &Hypergraph = levels.last().map_or(graph, |l| &l.coarse);
+            if cancelled || self.skips(fine) {
                 continue;
             }
-            let fine: &Hypergraph = levels.last().map_or(graph, |l| &l.coarse);
             let fine_balance = if levels.is_empty() {
                 balance
             } else {
@@ -535,7 +553,10 @@ impl<P: Partitioner> Multilevel<P> {
     /// Cut cost of each coarsest-level start, in start order, for the
     /// given engine seed. Diagnostic hook pinning the prefix-stability
     /// contract: the vector for `coarsest_starts = k` is a prefix of the
-    /// vector for any larger start count (same `config.seed`).
+    /// vector for any larger start count (same `config.seed`). Every
+    /// start is refined by the inner partitioner, whatever
+    /// `refine_skip_nodes` says, so the vector pins the coarsest circuit
+    /// and the start draws alone.
     ///
     /// # Errors
     ///
@@ -575,7 +596,8 @@ struct VcycleRun {
     partition: Bipartition,
     cut: f64,
     passes: usize,
-    /// Cut after each refinement stage, coarsest first.
+    /// Cut after each refinement stage, coarsest first (the coarsest
+    /// start's cut even when it is unrefined; skipped levels add none).
     level_cuts: Vec<f64>,
 }
 
@@ -949,6 +971,16 @@ mod tests {
         let _ = ml.inner();
     }
 
+    /// A weighted chain: every coarse level (and the input) is weighted.
+    fn weighted_chain(n: usize) -> Hypergraph {
+        let mut b = prop_netlist::HypergraphBuilder::new(n);
+        for i in 0..n - 1 {
+            b.add_net(2.0, [i, i + 1]).unwrap();
+        }
+        b.set_node_weights(vec![2.0; n]).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn refiner_dispatches_by_size_and_weights() {
         // Unit-weight graph → FM + PROP polish; all paths keep
@@ -963,33 +995,83 @@ mod tests {
         assert_eq!(stats.cut_cost, CutState::new(&unit, &p).cut_cost());
         assert_eq!(refiner.name(), "ML-refine");
 
-        // A weighted level above the skip threshold is projected through
-        // untouched, but the reported cut must still be exact.
+        // A weighted circuit is refined whatever `refine_skip_nodes` says:
+        // the skip is the V-cycle's rule, not the refiner's.
         let skipping = MlRefiner::new(&MultilevelConfig {
             refine_skip_nodes: 100,
             ..MultilevelConfig::default()
         });
-        let mut b = prop_netlist::HypergraphBuilder::new(200);
-        for i in 0..199 {
-            b.add_net(2.0, [i, i + 1]).unwrap();
-        }
-        b.set_node_weights(vec![2.0; 200]).unwrap();
-        let weighted = b.build().unwrap();
+        let weighted = weighted_chain(200);
         let balance = BalanceConstraint::new(0.45, 0.55, 200).unwrap();
         let mut p = Bipartition::random(200, &mut rng);
-        let before = p.clone();
         let stats = skipping.improve(&weighted, &mut p, balance);
-        assert_eq!(p, before, "levels above refine_skip_nodes must not move");
-        assert_eq!(stats.passes, 0);
-        assert_eq!(stats.cut_cost, CutState::new(&weighted, &p).cut_cost());
-
-        // The same circuit below the threshold is actually refined.
-        let refining = MlRefiner::new(&MultilevelConfig {
-            refine_skip_nodes: 100_000,
-            ..MultilevelConfig::default()
-        });
-        let stats = refining.improve(&weighted, &mut p, balance);
         assert!(stats.passes >= 1);
         assert!(p.is_balanced(balance));
+        assert_eq!(stats.cut_cost, CutState::new(&weighted, &p).cut_cost());
+    }
+
+    /// Delegates to the production refiner and records the size,
+    /// weightedness, and passes of every call.
+    struct Recording {
+        inner: MlRefiner,
+        calls: std::sync::Mutex<Vec<(usize, bool, usize)>>,
+    }
+
+    impl Partitioner for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn improve(
+            &self,
+            graph: &Hypergraph,
+            partition: &mut Bipartition,
+            balance: BalanceConstraint,
+        ) -> ImproveStats {
+            let stats = self.inner.improve(graph, partition, balance);
+            let weighted = !(graph.has_unit_weights() && graph.has_unit_node_weights());
+            let call = (graph.num_nodes(), weighted, stats.passes);
+            self.calls.lock().unwrap().push(call);
+            stats
+        }
+    }
+
+    #[test]
+    fn vcycle_never_refines_levels_above_refine_skip_nodes() {
+        let graph = weighted_chain(400);
+        let balance = BalanceConstraint::weighted(0.45, 0.55, &graph).unwrap();
+        let vcycle = |refine_skip_nodes| {
+            let config = MultilevelConfig {
+                coarsest_nodes: 20,
+                refine_skip_nodes,
+                ..MultilevelConfig::default()
+            };
+            let ml = Multilevel::with_config(
+                Recording {
+                    inner: MlRefiner::new(&config),
+                    calls: std::sync::Mutex::new(Vec::new()),
+                },
+                config,
+            );
+            let result = ml.partition(&graph, balance).unwrap();
+            assert_eq!(result.cut_cost, CutState::new(&graph, &result.partition).cut_cost());
+            let calls = ml.inner.calls.into_inner().unwrap();
+            // The V-cycle's passes are exactly the refiner calls' passes.
+            assert_eq!(result.total_passes, calls.iter().map(|c| c.2).sum::<usize>());
+            (result, calls)
+        };
+
+        // Without the skip, the 400-node input and the ~200-node first
+        // level are refined too.
+        let (_, all) = vcycle(usize::MAX);
+        assert!(all.iter().any(|&(n, _, _)| n > 150), "{all:?}");
+
+        // Levels above refine_skip_nodes must not move: the input and the
+        // first level are never handed to the refiner, so the reported
+        // cut is the last refined level's, projected exactly.
+        let (result, calls) = vcycle(150);
+        assert!(!calls.is_empty());
+        assert!(calls.iter().all(|&(n, w, _)| w && n <= 150), "{calls:?}");
+        assert_eq!(Some(&result.cut_cost), result.run_cuts.last());
     }
 }

@@ -151,7 +151,7 @@ pub struct SubmitRequest {
     /// carries the full result.
     pub wait: bool,
     /// Multilevel knob (`ml` engine only, ignored otherwise): stop
-    /// coarsening at this many nodes.
+    /// coarsening at this many nodes (values below 2 act as 2).
     pub ml_coarsest: usize,
     /// Multilevel knob: greedy initial bisections tried at the coarsest
     /// level.

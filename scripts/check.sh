@@ -23,10 +23,15 @@
 #                                   # same seed and runs
 #   scripts/check.sh --ml           # also run the multilevel smoke gate:
 #                                   # one ml-only quick benchmark pass whose
-#                                   # cuts the oracle recounts, plus the
-#                                   # ml CLI path at intra worker counts 1
-#                                   # and 2, which must print identical
-#                                   # results
+#                                   # cuts the oracle recounts, the ml CLI
+#                                   # path at intra worker counts 1 and 2,
+#                                   # which must print identical results,
+#                                   # and one golem3 V-cycle (--runs 1
+#                                   # --seed 0) whose result line and
+#                                   # --assign cksum must equal pinned
+#                                   # values: the only gate that folds a
+#                                   # coarse level (above refine_skip_nodes)
+#                                   # at default settings
 #   scripts/check.sh --par          # also run the intra-run determinism
 #                                   # gate: ml at --threads 1 vs --threads 2
 #                                   # must agree on the result line AND the
@@ -195,6 +200,19 @@ if [[ "$ml" -eq 1 ]]; then
     echo "check.sh: ml CLI diverged across intra worker counts" >&2
     echo "  threads=1: $one_line" >&2
     echo "  threads=2: $two_line" >&2
+    exit 1
+  fi
+  # One default golem3 V-cycle: its first coarse level is weighted and
+  # above refine_skip_nodes, so coarsening folds it away. Folding must not
+  # change the result, so the line and the assignment are pinned.
+  ./target/release/prop generate --circuit golem3 --out "$ml_dir/golem3.hgb" >/dev/null
+  golem_line="$(./target/release/prop partition "$ml_dir/golem3.hgb" --method ml --runs 1 \
+    --seed 0 --assign "$ml_dir/golem3.assign" | grep "^method=")"
+  golem_sum="$(cksum < "$ml_dir/golem3.assign")"
+  echo "$golem_line (assign cksum $golem_sum)"
+  if [[ "$golem_line" != "method=ml cut=1457 sides=51410A/51638B passes=47" \
+    || "$golem_sum" != "2699734699 816322" ]]; then
+    echo "check.sh: golem3 ml V-cycle moved off its pinned result" >&2
     exit 1
   fi
 fi

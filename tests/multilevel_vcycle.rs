@@ -430,3 +430,91 @@ fn mid_corridor_cancellation_keeps_the_flow_partial_feasible() {
     assert_eq!(report.status, RunStatus::Cancelled);
     assert!(report.result.partition.is_balanced(balance));
 }
+
+fn p2() -> Hypergraph {
+    prop_suite::netlist::suite::by_name("p2")
+        .expect("suite circuit")
+        .instantiate()
+        .expect("valid suite circuit")
+}
+
+/// One classic V-cycle on p2 with every weighted level above
+/// `refine_skip_nodes` folded away: cut, passes, and assignment hash are
+/// pinned to the values of the unfolded V-cycle, which kept those levels
+/// resident and projected through them unrefined. `200` folds the four
+/// largest coarse levels into one map; `0` folds every coarse level but
+/// the coarsest, whose starts then stay unrefined.
+#[test]
+fn folded_vcycles_on_p2_are_pinned() {
+    use prop_suite::core::GlobalPartitioner;
+    let g = p2();
+    let balance = BalanceConstraint::new(0.45, 0.55, g.num_nodes()).unwrap();
+    for (skip, cut, passes, hash) in [
+        (200usize, 70.0, 35usize, 7_635_526_917_272_321_682u64),
+        (0, 261.0, 8, 12_290_397_168_485_615_861),
+    ] {
+        let ml = Multilevel::standard(MultilevelConfig {
+            refine_skip_nodes: skip,
+            ..MultilevelConfig::default()
+        });
+        let result = ml.partition(&g, balance).unwrap();
+        let got = (
+            result.cut_cost,
+            result.total_passes,
+            assignment_hash(&result.partition),
+        );
+        assert_eq!(got, (cut, passes, hash), "refine_skip_nodes={skip}");
+        assert_eq!(result.cut_cost, oracle::naive_cut(&g, &result.partition));
+    }
+}
+
+/// Matching seeds and the `max_levels` cap count levels *built*, so the
+/// coarsest circuit — and with it every refined coarsest start — is the
+/// same however many levels were folded on the way down.
+#[test]
+fn coarsest_starts_do_not_depend_on_folding() {
+    let g = p2();
+    let balance = BalanceConstraint::new(0.45, 0.55, g.num_nodes()).unwrap();
+    let starts = |skip: usize| {
+        Multilevel::standard(MultilevelConfig {
+            refine_skip_nodes: skip,
+            ..MultilevelConfig::default()
+        })
+        .coarsest_start_cuts(&g, balance)
+        .unwrap()
+    };
+    let unfolded = starts(usize::MAX);
+    assert_eq!(unfolded.len(), MultilevelConfig::default().coarsest_starts);
+    assert_eq!(starts(200), unfolded);
+    assert_eq!(starts(0), unfolded);
+}
+
+/// `coarsest_nodes` below 2 acts as 2: coarsening to a single node would
+/// leave nothing to bisect, and the V-cycle's result could never be
+/// accepted over the harness's random start.
+#[test]
+fn coarsest_nodes_below_two_act_as_two() {
+    let g = prop_suite::netlist::suite::by_name("balu")
+        .expect("suite circuit")
+        .instantiate()
+        .expect("valid suite circuit");
+    let balance = BalanceConstraint::weighted(0.45, 0.55, &g).unwrap();
+    let run = |coarsest_nodes: usize| {
+        Multilevel::standard(MultilevelConfig {
+            coarsest_nodes,
+            ..MultilevelConfig::default()
+        })
+        .run_multi(&g, balance, 2, 0)
+        .unwrap()
+    };
+    let floor = run(2);
+    assert_eq!(floor.cut_cost, oracle::naive_cut(&g, &floor.partition));
+    for coarsest_nodes in [0, 1] {
+        let got = run(coarsest_nodes);
+        assert_eq!(got, floor, "coarsest_nodes={coarsest_nodes}");
+        assert_eq!(
+            assignment_hash(&got.partition),
+            assignment_hash(&floor.partition)
+        );
+    }
+}

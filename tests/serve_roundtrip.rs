@@ -51,17 +51,25 @@ fn submit_via_daemon(
     engine_name: &str,
     payload: &str,
 ) -> (f64, Vec<f64>, u64) {
-    let mut client = Client::connect(addr).unwrap();
-    let response = client
-        .submit(&SubmitRequest {
+    submit_request(
+        addr,
+        &SubmitRequest {
             engine: engine_name.into(),
             runs: RUNS,
             seed: SEED,
             payload: payload.into(),
             wait: true,
             ..SubmitRequest::default()
-        })
-        .unwrap();
+        },
+    )
+}
+
+/// Submits one waiting request and returns (cut, run_cuts, assignment
+/// hash) from its completed response.
+fn submit_request(addr: std::net::SocketAddr, request: &SubmitRequest) -> (f64, Vec<f64>, u64) {
+    let engine_name = &request.engine;
+    let mut client = Client::connect(addr).unwrap();
+    let response = client.submit(request).unwrap();
     assert_eq!(
         response.get("ok").and_then(Json::as_bool),
         Some(true),
@@ -264,5 +272,59 @@ fn kway_submissions_are_bit_identical_to_the_direct_driver() {
 
     let mut client = Client::connect(handle.addr()).unwrap();
     client.shutdown().unwrap();
+    handle.join();
+}
+
+/// `ml_coarsest=0` and `ml_coarsest=1` act as `ml_coarsest=2` over the
+/// wire too: coarsening stops at two nodes, so the V-cycle result is a
+/// refined partition identical to the one at the floor.
+#[test]
+fn ml_coarsest_below_two_acts_as_two_through_the_daemon() {
+    let handle = server::start(&ServerConfig {
+        workers: 1,
+        queue_cap: 8,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let graph = prop_netlist::suite::by_name("balu")
+        .unwrap()
+        .instantiate()
+        .unwrap();
+    let payload = format::write_hgr(&graph);
+    let served = |ml_coarsest| {
+        submit_request(
+            handle.addr(),
+            &SubmitRequest {
+                engine: "ml".into(),
+                runs: RUNS,
+                seed: SEED,
+                payload: payload.clone(),
+                wait: true,
+                ml_coarsest,
+                ..SubmitRequest::default()
+            },
+        )
+    };
+    let floor = served(2);
+    let balance = BalanceConstraint::weighted(0.45, 0.55, &graph).unwrap();
+    let direct = Multilevel::standard(MultilevelConfig {
+        coarsest_nodes: 0,
+        seed: SEED,
+        ..MultilevelConfig::default()
+    })
+    .run_multi_parallel(&graph, balance, RUNS, SEED, ParallelPolicy::Threads(2))
+    .unwrap();
+    assert_eq!(
+        floor,
+        (
+            direct.cut_cost,
+            direct.run_cuts,
+            engine::assignment_hash(direct.partition.sides())
+        )
+    );
+    for ml_coarsest in [0, 1] {
+        assert_eq!(served(ml_coarsest), floor, "ml_coarsest={ml_coarsest}");
+    }
+    Client::connect(handle.addr()).unwrap().shutdown().unwrap();
     handle.join();
 }
