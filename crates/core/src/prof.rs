@@ -72,6 +72,11 @@ pub struct ProfSnapshot {
     pub ml_refine_ns: u64,
     /// Coarsening levels built by multilevel V-cycles.
     pub ml_levels: u64,
+    /// V-cycle results a multilevel run discarded, keeping its incoming
+    /// partition instead: infeasible under the run's balance, or cutting
+    /// more than the incoming partition. A V-cycle whose coarse windows
+    /// leave it unbalanced shows up here rather than only as a poor cut.
+    pub ml_rejected: u64,
     /// Synchronous refinement rounds executed (intra-parallel V-cycle).
     pub sync_rounds: u64,
     /// Candidate moves collected across synchronous rounds.
@@ -109,7 +114,7 @@ impl ProfSnapshot {
     /// Every counter by name, in declaration order: the one list that
     /// reporting surfaces (daemon `stats`, `bench_snapshot --profile`)
     /// render from.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
+    pub fn fields(&self) -> [(&'static str, u64); 21] {
         // Destructured so a new field cannot be left out of the list.
         let ProfSnapshot {
             seed_ns,
@@ -125,6 +130,7 @@ impl ProfSnapshot {
             ml_project_ns,
             ml_refine_ns,
             ml_levels,
+            ml_rejected,
             sync_rounds,
             sync_candidates,
             sync_committed,
@@ -147,6 +153,7 @@ impl ProfSnapshot {
             ("ml_project_ns", ml_project_ns),
             ("ml_refine_ns", ml_refine_ns),
             ("ml_levels", ml_levels),
+            ("ml_rejected", ml_rejected),
             ("sync_rounds", sync_rounds),
             ("sync_candidates", sync_candidates),
             ("sync_committed", sync_committed),
@@ -174,6 +181,7 @@ impl ProfSnapshot {
             ml_project_ns,
             ml_refine_ns,
             ml_levels,
+            ml_rejected,
             sync_rounds,
             sync_candidates,
             sync_committed,
@@ -195,6 +203,7 @@ impl ProfSnapshot {
         self.ml_project_ns += ml_project_ns;
         self.ml_refine_ns += ml_refine_ns;
         self.ml_levels += ml_levels;
+        self.ml_rejected += ml_rejected;
         self.sync_rounds += sync_rounds;
         self.sync_candidates += sync_candidates;
         self.sync_committed += sync_committed;
@@ -257,6 +266,11 @@ mod imp {
     /// Counts one coarsening level of a multilevel V-cycle.
     pub fn count_ml_level() {
         PROF.with(|p| p.borrow_mut().ml_levels += 1);
+    }
+
+    /// Counts one discarded V-cycle result.
+    pub fn count_ml_rejected() {
+        PROF.with(|p| p.borrow_mut().ml_rejected += 1);
     }
 
     /// Counts one exact per-net recomputation.
@@ -340,6 +354,10 @@ mod imp {
     #[inline(always)]
     pub fn count_ml_level() {}
 
+    /// Counts one discarded V-cycle result (no-op).
+    #[inline(always)]
+    pub fn count_ml_rejected() {}
+
     /// Counts one exact per-net recomputation (no-op).
     #[inline(always)]
     pub fn count_net_recompute() {}
@@ -376,8 +394,9 @@ mod imp {
 }
 
 pub use imp::{
-    absorb, count_flow_round, count_gain_recompute, count_match_round, count_ml_level, count_move,
-    count_net_recompute, count_sync_round, reset, snapshot, start, stop, Tick,
+    absorb, count_flow_round, count_gain_recompute, count_match_round, count_ml_level,
+    count_ml_rejected, count_move, count_net_recompute, count_sync_round, reset, snapshot, start,
+    stop, Tick,
 };
 
 #[cfg(test)]
@@ -446,6 +465,7 @@ mod tests {
         count_sync_round(10, 4);
         count_sync_round(6, 6);
         count_match_round();
+        count_ml_rejected();
         count_flow_round(5, true);
         count_flow_round(3, false);
         let t = start();
@@ -458,6 +478,7 @@ mod tests {
         assert_eq!(s.sync_candidates, 16);
         assert_eq!(s.sync_committed, 10);
         assert_eq!(s.match_rounds, 1);
+        assert_eq!(s.ml_rejected, 1);
         assert_eq!(s.flow_corridors, 2);
         assert_eq!(s.flow_augments, 8);
         assert_eq!(s.flow_accepted, 1);

@@ -19,6 +19,10 @@ pub struct BestPrefix {
 /// immediate gains peaks — are actually applied (§2 and step 9–10 of
 /// Fig. 2 in the paper).
 ///
+/// The best prefix is kept up to date as moves are pushed, so a pass can
+/// ask how far it has gone past it ([`PrefixTracker::moves_since_best`])
+/// and stop once it stalls.
+///
 /// ```
 /// use prop_dstruct::PrefixTracker;
 ///
@@ -30,11 +34,15 @@ pub struct BestPrefix {
 /// let best = t.best().expect("positive prefix exists");
 /// assert_eq!(best.moves, 3);
 /// assert_eq!(best.gain, 4.0);
+/// assert_eq!(t.moves_since_best(), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PrefixTracker {
     gains: Vec<f64>,
     feasible: Vec<bool>,
+    /// Running sum of `gains`, accumulated in push order.
+    sum: f64,
+    best: Option<BestPrefix>,
 }
 
 impl PrefixTracker {
@@ -48,6 +56,7 @@ impl PrefixTracker {
         PrefixTracker {
             gains: Vec::with_capacity(n),
             feasible: Vec::with_capacity(n),
+            ..Self::default()
         }
     }
 
@@ -55,9 +64,28 @@ impl PrefixTracker {
     /// partition state *after* the move satisfies the strict balance
     /// constraint (an infeasible end state may not be committed, but the
     /// pass may still pass through it).
+    ///
+    /// The move becomes the new best prefix when its end state is
+    /// feasible and its cumulative gain is strictly positive and strictly
+    /// above the best so far, so among equal cumulative gains the
+    /// shortest prefix wins and no zero-gain suffix is committed.
     pub fn push(&mut self, gain: f64, feasible: bool) {
         self.gains.push(gain);
         self.feasible.push(feasible);
+        self.sum += gain;
+        if !feasible {
+            return;
+        }
+        let better = match self.best {
+            None => self.sum > 0.0,
+            Some(b) => self.sum > b.gain,
+        };
+        if better {
+            self.best = Some(BestPrefix {
+                moves: self.gains.len(),
+                gain: self.sum,
+            });
+        }
     }
 
     /// Number of recorded moves.
@@ -74,6 +102,8 @@ impl PrefixTracker {
     pub fn clear(&mut self) {
         self.gains.clear();
         self.feasible.clear();
+        self.sum = 0.0;
+        self.best = None;
     }
 
     /// The immediate gains recorded so far.
@@ -95,25 +125,13 @@ impl PrefixTracker {
     /// Among prefixes with equal cumulative gain the shortest is chosen, so
     /// no zero-gain suffix is committed.
     pub fn best(&self) -> Option<BestPrefix> {
-        let mut sum = 0.0;
-        let mut best: Option<BestPrefix> = None;
-        for (i, (&g, &ok)) in self.gains.iter().zip(&self.feasible).enumerate() {
-            sum += g;
-            if !ok {
-                continue;
-            }
-            let better = match best {
-                None => sum > 0.0,
-                Some(b) => sum > b.gain,
-            };
-            if better {
-                best = Some(BestPrefix {
-                    moves: i + 1,
-                    gain: sum,
-                });
-            }
-        }
-        best
+        self.best
+    }
+
+    /// Moves recorded after the best prefix: all of them while there is
+    /// none. A pass that has gone this far without a new best is stalled.
+    pub fn moves_since_best(&self) -> usize {
+        self.len() - self.best.map_or(0, |b| b.moves)
     }
 }
 
@@ -191,6 +209,23 @@ mod tests {
         assert_eq!(t.best().unwrap().gain, 2.0);
         assert_eq!(t.gains(), &[2.0]);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn moves_since_best_counts_from_the_last_best() {
+        let mut t = PrefixTracker::new();
+        assert_eq!(t.moves_since_best(), 0);
+        t.push(-1.0, true);
+        t.push(3.0, false);
+        // No feasible positive prefix yet: every move counts.
+        assert_eq!(t.moves_since_best(), 2);
+        t.push(0.0, true);
+        assert_eq!(t.moves_since_best(), 0);
+        t.push(0.0, true);
+        t.push(-1.0, true);
+        assert_eq!(t.moves_since_best(), 2);
+        t.clear();
+        assert_eq!((t.best(), t.moves_since_best()), (None, 0));
     }
 
     #[test]

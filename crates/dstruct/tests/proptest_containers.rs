@@ -116,4 +116,27 @@ proptest! {
         let got = tracker.best().map(|b| (b.moves, b.gain));
         prop_assert_eq!(got, best);
     }
+
+    /// After every push, the incrementally tracked best prefix equals a
+    /// naive scan of the moves so far, and `moves_since_best` counts the
+    /// moves past it. Small half-integral gains make exact ties common.
+    #[test]
+    fn incremental_best_matches_a_scan_after_every_push(
+        moves in proptest::collection::vec((-4i32..=4, any::<bool>()), 0..80)
+    ) {
+        let mut tracker = PrefixTracker::new();
+        for (len, &(g, ok)) in moves.iter().enumerate() {
+            tracker.push(f64::from(g) * 0.5, ok);
+            let mut best: Option<(usize, f64)> = None;
+            let mut sum = 0.0;
+            for (i, &(g, ok)) in moves[..=len].iter().enumerate() {
+                sum += f64::from(g) * 0.5;
+                if ok && sum > 0.0 && best.is_none_or(|(_, b)| sum > b) {
+                    best = Some((i + 1, sum));
+                }
+            }
+            prop_assert_eq!(tracker.best().map(|b| (b.moves, b.gain)), best);
+            prop_assert_eq!(tracker.moves_since_best(), len + 1 - best.map_or(0, |b| b.0));
+        }
+    }
 }

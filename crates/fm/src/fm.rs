@@ -7,11 +7,12 @@ use prop_netlist::Hypergraph;
 
 /// FM with the classic O(1) gain bucket array (the paper's "FM-bucket").
 ///
-/// Requires integral net costs — gains are then integers bounded by the
-/// largest weighted node degree, which is what makes the bucket array
-/// work. Unit costs are the paper's case; integral non-unit costs arise
-/// from coarsened circuits whose merged nets sum their fine unit costs.
-/// Use [`FmTree`] for fractional net weights.
+/// The bucket array needs integral net costs — gains are then integers
+/// bounded by the largest weighted node degree. Unit costs are the paper's
+/// case; integral non-unit costs arise from coarsened circuits whose
+/// merged nets sum their fine unit costs. A circuit with fractional net
+/// costs runs the same passes over [`FmTree`]'s balanced tree instead, so
+/// every circuit gets a result (identical to [`FmTree`]'s on it).
 ///
 /// ```
 /// use prop_core::{BalanceConstraint, Partitioner};
@@ -30,11 +31,19 @@ use prop_netlist::Hypergraph;
 pub struct FmBucket {
     /// Safety bound on passes per run (the paper observes 2–4 in practice).
     pub max_passes: usize,
+    /// A pass stops once it has made this many tentative moves without
+    /// reaching a new best feasible prefix, then commits its best prefix
+    /// as a full pass does. The default, `usize::MAX`, runs the paper's
+    /// full passes (every free node moved once).
+    pub stall_moves: usize,
 }
 
 impl Default for FmBucket {
     fn default() -> Self {
-        FmBucket { max_passes: 64 }
+        FmBucket {
+            max_passes: 64,
+            stall_moves: usize::MAX,
+        }
     }
 }
 
@@ -172,27 +181,35 @@ impl Partitioner for FmBucket {
         "FM-bucket"
     }
 
-    /// # Panics
-    ///
-    /// Panics if the graph has fractional net weights; the bucket
-    /// structure assumes integral gains (use [`FmTree`] instead).
     fn improve(
         &self,
         graph: &Hypergraph,
         partition: &mut Bipartition,
         balance: BalanceConstraint,
     ) -> ImproveStats {
-        assert!(
-            graph.has_integral_weights(),
-            "FM-bucket requires integral net costs; use FM-tree for fractional nets"
-        );
+        let n = graph.num_nodes();
+        let mut state = PassState::new(n);
+        if !graph.has_integral_weights() {
+            // Fractional gains have no bucket: the tree runs the same passes.
+            let mut container = TreeContainer::new(n);
+            return improve_with(
+                "FM-bucket",
+                graph,
+                partition,
+                balance,
+                self.max_passes,
+                self.stall_moves,
+                &mut container,
+                &mut state,
+            );
+        }
         // A node's gain is bounded by its weighted degree (every incident
         // net fully for or against the move). Unit costs reduce this to
         // the plain max degree.
         let max_gain = if graph.has_unit_weights() {
             graph.stats().max_degree as i64
         } else {
-            let mut wdeg = vec![0.0f64; graph.num_nodes()];
+            let mut wdeg = vec![0.0f64; n];
             for net in graph.nets() {
                 let w = graph.net_weight(net);
                 for &pin in graph.pins_of(net) {
@@ -201,14 +218,14 @@ impl Partitioner for FmBucket {
             }
             wdeg.iter().fold(0.0f64, |a, &b| a.max(b)) as i64
         };
-        let mut container = BucketContainer::new(graph.num_nodes(), max_gain.max(1));
-        let mut state = PassState::new(graph.num_nodes());
+        let mut container = BucketContainer::new(n, max_gain.max(1));
         improve_with(
             "FM-bucket",
             graph,
             partition,
             balance,
             self.max_passes,
+            self.stall_moves,
             &mut container,
             &mut state,
         )
@@ -234,18 +251,21 @@ impl Partitioner for FmTree {
             partition,
             balance,
             self.max_passes,
+            usize::MAX,
             &mut container,
             &mut state,
         )
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn improve_with<C: GainContainer>(
     engine: &'static str,
     graph: &Hypergraph,
     partition: &mut Bipartition,
     balance: BalanceConstraint,
     max_passes: usize,
+    stall_moves: usize,
     container: &mut C,
     state: &mut PassState,
 ) -> ImproveStats {
@@ -258,8 +278,16 @@ fn improve_with<C: GainContainer>(
             break;
         }
         passes += 1;
-        let committed =
-            run_fm_pass(engine, graph, partition, &mut cut, balance, container, state);
+        let committed = run_fm_pass(
+            engine,
+            graph,
+            partition,
+            &mut cut,
+            balance,
+            container,
+            state,
+            stall_moves,
+        );
         if committed <= 0.0 {
             break;
         }
@@ -337,13 +365,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "integral net costs")]
-    fn bucket_rejects_fractional_nets() {
-        let mut b = HypergraphBuilder::new(2);
-        b.add_net(0.5, [0, 1]).unwrap();
+    fn bucket_runs_fractional_nets_as_the_tree_does() {
+        let mut b = HypergraphBuilder::new(4);
+        b.add_net(10.0, [0, 1]).unwrap();
+        b.add_net(10.0, [2, 3]).unwrap();
+        b.add_net(0.5, [1, 2]).unwrap();
+        b.add_net(2.5, [0, 3]).unwrap();
         let g = b.build().unwrap();
-        let mut p = Bipartition::random(2, &mut StdRng::seed_from_u64(0));
-        let _ = FmBucket::default().improve(&g, &mut p, BalanceConstraint::bisection(2));
+        assert!(!g.has_integral_weights());
+        let balance = BalanceConstraint::bisection(4);
+        let rb = FmBucket::default().run_multi(&g, balance, 4, 0).unwrap();
+        let rt = FmTree::default().run_multi(&g, balance, 4, 0).unwrap();
+        assert_eq!(rb, rt);
+        assert_eq!(rb.cut_cost, 3.0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! comparison set.
 //!
 //! * [`FmBucket`] — the Fiduccia–Mattheyses partitioner with the classic
-//!   gain bucket array (requires unit net costs; Θ(nd) per pass).
+//!   gain bucket array (integral net costs; Θ(nd) per pass; fractional
+//!   costs fall back to [`FmTree`]'s container).
 //! * [`FmTree`] — FM with a balanced-tree gain structure, the variant the
 //!   paper times for the non-unit-cost regime (Θ(nd log n) per pass,
 //!   arbitrary net weights).

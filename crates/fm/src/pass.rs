@@ -53,6 +53,12 @@ impl PassState {
 /// Runs one FM pass and returns the committed gain (0 when the pass was
 /// fully rolled back). `engine` is the display name reported to an
 /// installed auditor under the `debug-audit` feature.
+///
+/// The pass stops early once `stall_moves` tentative moves have gone by
+/// without a new best feasible prefix; it then commits the best prefix
+/// and rolls back the tail, as a full pass does. A limit of at least the
+/// node count never fires, so the pass is the paper's full pass.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_fm_pass<C: GainContainer>(
     engine: &'static str,
     graph: &Hypergraph,
@@ -61,6 +67,7 @@ pub(crate) fn run_fm_pass<C: GainContainer>(
     balance: BalanceConstraint,
     container: &mut C,
     state: &mut PassState,
+    stall_moves: usize,
 ) -> f64 {
     #[cfg(not(feature = "debug-audit"))]
     let _ = engine;
@@ -121,6 +128,9 @@ pub(crate) fn run_fm_pass<C: GainContainer>(
                 side_weights: side_weights.as_array(),
             });
         });
+        if state.prefix.moves_since_best() >= stall_moves {
+            break;
+        }
     }
 
     let best = state.prefix.best();
@@ -330,7 +340,14 @@ mod tests {
             };
             container.remove(u.index() as u32, side, state.gains[u.index()]);
             state.locked[u.index()] = true;
-            apply_move_with_deltas(&graph, &mut partition, &mut cut, &mut container, &mut state, u);
+            apply_move_with_deltas(
+                &graph,
+                &mut partition,
+                &mut cut,
+                &mut container,
+                &mut state,
+                u,
+            );
             for x in graph.nodes() {
                 if state.locked[x.index()] {
                     continue;
@@ -365,10 +382,86 @@ mod tests {
             balance,
             &mut container,
             &mut state,
+            usize::MAX,
         );
         assert_eq!(cut, CutState::new(&graph, &partition));
         assert!((before - cut.cut_cost() - committed).abs() < 1e-9);
         assert!(partition.is_balanced(balance));
         assert!(committed >= 0.0);
+    }
+
+    /// One pass from a fixed random start under `stall_moves`: the
+    /// committed partition, the committed gain, and the tentative moves
+    /// with their gains and feasibility.
+    fn one_pass(stall_moves: usize) -> (Bipartition, f64, Vec<NodeId>, Vec<f64>, Vec<bool>) {
+        let graph = generate(&GeneratorConfig::new(300, 330, 1150).with_seed(41)).unwrap();
+        let balance = BalanceConstraint::new(0.45, 0.55, 300).unwrap();
+        let mut partition = Bipartition::random(300, &mut StdRng::seed_from_u64(8));
+        let mut cut = CutState::new(&graph, &partition);
+        let mut state = PassState::new(300);
+        let mut container = TreeBox {
+            trees: [AvlTree::new(), AvlTree::new()],
+        };
+        let committed = run_fm_pass(
+            "FM-test",
+            &graph,
+            &mut partition,
+            &mut cut,
+            balance,
+            &mut container,
+            &mut state,
+            stall_moves,
+        );
+        assert_eq!(cut, CutState::new(&graph, &partition));
+        let gains = state.prefix.gains().to_vec();
+        let feasible = state.prefix.feasibility().to_vec();
+        (partition, committed, state.moves, gains, feasible)
+    }
+
+    #[test]
+    fn stall_limit_at_or_above_n_is_a_full_pass() {
+        let full = one_pass(usize::MAX);
+        assert_eq!(full.2.len(), 300, "a full pass moves every node");
+        assert_eq!(one_pass(300), full);
+        assert_eq!(one_pass(301), full);
+    }
+
+    #[test]
+    fn stalled_pass_stops_exactly_the_limit_after_its_best_prefix() {
+        let (_, _, full_moves, full_gains, full_feasible) = one_pass(usize::MAX);
+        for limit in [1, 5, 20, 60] {
+            let (partition, committed, moves, gains, feasible) = one_pass(limit);
+            // The stalled pass is a prefix of the full pass's move sequence.
+            let k = moves.len();
+            assert_eq!(moves, full_moves[..k]);
+            assert_eq!(gains, full_gains[..k]);
+            assert_eq!(feasible, full_feasible[..k]);
+            // It stops at the first point `limit` moves past the best so
+            // far (or when the nodes run out).
+            let mut tracker = PrefixTracker::new();
+            let mut stop = full_moves.len();
+            for (i, (&g, &ok)) in full_gains.iter().zip(&full_feasible).enumerate() {
+                tracker.push(g, ok);
+                if tracker.moves_since_best() >= limit {
+                    stop = i + 1;
+                    break;
+                }
+            }
+            assert_eq!(k, stop, "limit {limit}");
+            let best = tracker.best();
+            if limit <= 5 {
+                assert!(k < full_moves.len(), "limit {limit} never fired");
+            }
+            if k < full_moves.len() {
+                assert_eq!(k, best.map_or(0, |b| b.moves) + limit, "limit {limit}");
+            }
+            assert_eq!(committed, best.map_or(0.0, |b| b.gain));
+            // What it commits is the full sequence's prefix up to its best.
+            let mut expected = Bipartition::random(300, &mut StdRng::seed_from_u64(8));
+            for &u in &full_moves[..best.map_or(0, |b| b.moves)] {
+                expected.flip(u);
+            }
+            assert_eq!(partition, expected, "limit {limit}");
+        }
     }
 }

@@ -186,6 +186,18 @@ fn intra_engaged(policy: ParallelPolicy) -> bool {
     !matches!(policy, ParallelPolicy::Sequential)
 }
 
+/// The stall limit of every FM pass [`MlRefiner`] runs: a pass stops once
+/// it has made this many tentative moves without a new best feasible
+/// prefix, then commits its best prefix as a full pass does.
+///
+/// A V-cycle's FM passes start from a projected partition that is already
+/// good, so nearly all of a full pass is explored and rolled back: on a
+/// 103k-node circuit the finest level's first pass commits a few hundred
+/// of its 103k tentative moves. Stopping after a stall keeps the commit
+/// and skips the rest (DESIGN §12). Over suite golem3 job seeds 0–11,
+/// limits of 400 and 1000 gave the same cuts; 200 and 100 cost quality.
+pub const FM_STALL_MOVES: usize = 400;
+
 /// The independent random streams of a V-cycle; see [`stream_seed`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SeedStream {
@@ -234,20 +246,23 @@ pub fn stream_seed(seed: u64, stream: SeedStream, index: u64) -> u64 {
 ///   `refine_passes`.
 /// * **Smaller weighted levels** — FM to convergence.
 ///
+/// Every FM pass stops once it stalls ([`FM_STALL_MOVES`]). The PROP
+/// polish runs full passes: its best prefix comes at the very end of the
+/// pass, a near-mirror of the partition that a stall rule would never
+/// reach.
+///
 /// Weighted levels above `refine_skip_nodes` never reach the refiner: the
 /// V-cycle folds them away (see [`MultilevelConfig::refine_skip_nodes`]).
 ///
-/// FM uses the O(1) bucket structure whenever net costs are integral
-/// (unit fine costs stay integral through coarsening, since merged nets
-/// sum them) and the tree only for fractional weights.
+/// [`prop_fm::FmBucket`] runs its O(1) bucket structure whenever net costs
+/// are integral (unit fine costs stay integral through coarsening, since
+/// merged nets sum them) and its tree only for fractional weights.
 #[derive(Clone, Debug)]
 pub struct MlRefiner {
     polish: Prop,
     polish_passes: usize,
     fm_capped: prop_fm::FmBucket,
     fm_full: prop_fm::FmBucket,
-    fm_tree_capped: prop_fm::FmTree,
-    fm_tree_full: prop_fm::FmTree,
     sync_capped: prop_fm::SyncRoundFm,
     sync_full: prop_fm::SyncRoundFm,
     intra: bool,
@@ -261,16 +276,21 @@ impl MlRefiner {
     /// `flow`).
     pub fn new(config: &MultilevelConfig) -> Self {
         let passes = config.refine_passes.max(1);
+        let fm_full = prop_fm::FmBucket {
+            stall_moves: FM_STALL_MOVES,
+            ..prop_fm::FmBucket::default()
+        };
         MlRefiner {
             polish: Prop::new(PropConfig {
                 max_passes: config.polish_passes.max(1),
                 ..PropConfig::calibrated()
             }),
             polish_passes: config.polish_passes,
-            fm_capped: prop_fm::FmBucket { max_passes: passes },
-            fm_full: prop_fm::FmBucket::default(),
-            fm_tree_capped: prop_fm::FmTree { max_passes: passes },
-            fm_tree_full: prop_fm::FmTree::default(),
+            fm_capped: prop_fm::FmBucket {
+                max_passes: passes,
+                ..fm_full
+            },
+            fm_full,
             sync_capped: prop_fm::SyncRoundFm {
                 max_rounds: passes,
                 policy: config.intra,
@@ -311,20 +331,13 @@ impl MlRefiner {
             };
         }
         let capped = n > self.fm_converge_nodes;
-        if self.intra {
-            // Synchronous rounds work for arbitrary weights — no
-            // bucket/tree split — and collect candidates in parallel
-            // under the configured intra policy.
-            return if capped { &self.sync_capped } else { &self.sync_full }
-                .improve(graph, partition, balance);
-        }
-        if graph.has_integral_weights() {
-            if capped { &self.fm_capped } else { &self.fm_full }
-                .improve(graph, partition, balance)
-        } else if capped {
-            self.fm_tree_capped.improve(graph, partition, balance)
-        } else {
-            self.fm_tree_full.improve(graph, partition, balance)
+        // Synchronous rounds work for arbitrary weights and collect
+        // candidates in parallel under the configured intra policy.
+        match (self.intra, capped) {
+            (true, true) => self.sync_capped.improve(graph, partition, balance),
+            (true, false) => self.sync_full.improve(graph, partition, balance),
+            (false, true) => self.fm_capped.improve(graph, partition, balance),
+            (false, false) => self.fm_full.improve(graph, partition, balance),
         }
     }
 }
@@ -652,10 +665,13 @@ impl<P: Partitioner> Partitioner for Multilevel<P> {
                     cut_cost: run.cut,
                 }
             }
-            Ok(run) => ImproveStats {
-                passes: run.passes,
-                cut_cost: incoming_cut,
-            },
+            Ok(run) => {
+                prof::count_ml_rejected();
+                ImproveStats {
+                    passes: run.passes,
+                    cut_cost: incoming_cut,
+                }
+            }
             // Unreachable through the harness (it rejects empty graphs
             // first); stand pat to honor the in-place contract anyway.
             Err(_) => ImproveStats {
@@ -1008,6 +1024,17 @@ mod tests {
         assert!(stats.passes >= 1);
         assert!(p.is_balanced(balance));
         assert_eq!(stats.cut_cost, CutState::new(&weighted, &p).cut_cost());
+    }
+
+    #[test]
+    fn refiner_fm_passes_stop_on_a_stall() {
+        // Only the refiner's FM passes stop on a stall; a flat FM-bucket
+        // runs the paper's full passes.
+        let refiner = MlRefiner::new(&MultilevelConfig::default());
+        assert_eq!(refiner.fm_full.stall_moves, FM_STALL_MOVES);
+        assert_eq!(refiner.fm_capped.stall_moves, FM_STALL_MOVES);
+        assert_eq!(refiner.fm_capped.max_passes, 1);
+        assert_eq!(prop_fm::FmBucket::default().stall_moves, usize::MAX);
     }
 
     /// Delegates to the production refiner and records the size,

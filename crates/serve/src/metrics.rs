@@ -221,6 +221,7 @@ mod tests {
             gain_recomputes: 2,
             ml_refine_ns: 40,
             ml_levels: 6,
+            ml_rejected: 1,
             ..ProfSnapshot::default()
         });
         let prof = m.to_json(0, 1, false);
@@ -230,6 +231,7 @@ mod tests {
         assert_eq!(prof.get("gain_recomputes").and_then(Json::as_u64), Some(2));
         assert_eq!(prof.get("ml_refine_ns").and_then(Json::as_u64), Some(40));
         assert_eq!(prof.get("ml_levels").and_then(Json::as_u64), Some(6));
+        assert_eq!(prof.get("ml_rejected").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

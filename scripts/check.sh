@@ -2,7 +2,9 @@
 # Tier-1 verification gate: build, test, lint. Run from the repo root.
 #
 #   scripts/check.sh                # tier-1 gates only (build, root and
-#                                   # CLI crate tests, clippy)
+#                                   # CLI crate tests, clippy, and a build
+#                                   # of benchmark/ and benchmark/trace/
+#                                   # plus bench's own unit tests)
 #   scripts/check.sh --audit        # also run the debug-audit (oracle) gates
 #   scripts/check.sh --bench-smoke  # also run the quick benchmark gate:
 #                                   # oracle recounts every reported cut and
@@ -31,7 +33,9 @@
 #                                   # --assign cksum must equal pinned
 #                                   # values: the only gate that folds a
 #                                   # coarse level (above refine_skip_nodes)
-#                                   # at default settings
+#                                   # at default settings; plus the prof
+#                                   # test that discarded V-cycles are
+#                                   # counted
 #   scripts/check.sh --par          # also run the intra-run determinism
 #                                   # gate: ml at --threads 1 vs --threads 2
 #                                   # must agree on the result line AND the
@@ -109,6 +113,12 @@ cargo test -q
 # the built `prop`.
 cargo test -q -p prop-cli
 cargo clippy --workspace -- -D warnings
+# The benchmark is two workspaces of its own with path dependencies on
+# crates/: build both and run bench's unit tests, so an API or CLI change
+# that breaks the benchmark fails here rather than in a benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --manifest-path benchmark/trace/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "$audit" -eq 1 ]]; then
   # Audited pass: every engine reports into the thread-local auditor slot
@@ -203,18 +213,21 @@ if [[ "$ml" -eq 1 ]]; then
     exit 1
   fi
   # One default golem3 V-cycle: its first coarse level is weighted and
-  # above refine_skip_nodes, so coarsening folds it away. Folding must not
-  # change the result, so the line and the assignment are pinned.
+  # above refine_skip_nodes, so coarsening folds it away, and its large
+  # levels are where FM passes stop on a stall. The line and the
+  # assignment are pinned.
   ./target/release/prop generate --circuit golem3 --out "$ml_dir/golem3.hgb" >/dev/null
   golem_line="$(./target/release/prop partition "$ml_dir/golem3.hgb" --method ml --runs 1 \
     --seed 0 --assign "$ml_dir/golem3.assign" | grep "^method=")"
   golem_sum="$(cksum < "$ml_dir/golem3.assign")"
   echo "$golem_line (assign cksum $golem_sum)"
-  if [[ "$golem_line" != "method=ml cut=1457 sides=51410A/51638B passes=47" \
-    || "$golem_sum" != "2699734699 816322" ]]; then
+  if [[ "$golem_line" != "method=ml cut=1458 sides=51639A/51409B passes=44" \
+    || "$golem_sum" != "613341035 816322" ]]; then
     echo "check.sh: golem3 ml V-cycle moved off its pinned result" >&2
     exit 1
   fi
+  # A V-cycle result the run discards is counted in ml_rejected.
+  cargo test -q --features prof --test multilevel_vcycle discarded_vcycles_are_counted
 fi
 
 if [[ "$par" -eq 1 ]]; then

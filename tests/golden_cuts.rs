@@ -95,7 +95,7 @@ fn snapshot_circuit_cuts_are_pinned() {
 const KWAY_GOLDEN: [(&str, usize, usize, f64, f64); 3] = [
     ("balu", 4, 2, 43.0, 48.0),
     ("struct", 4, 2, 64.0, 68.0),
-    ("p2", 4, 2, 143.0, 162.0),
+    ("p2", 4, 2, 140.0, 161.0),
 ];
 
 #[test]

@@ -440,10 +440,12 @@ fn p2() -> Hypergraph {
 
 /// One classic V-cycle on p2 with every weighted level above
 /// `refine_skip_nodes` folded away: cut, passes, and assignment hash are
-/// pinned to the values of the unfolded V-cycle, which kept those levels
-/// resident and projected through them unrefined. `200` folds the four
-/// largest coarse levels into one map; `0` folds every coarse level but
-/// the coarsest, whose starts then stay unrefined.
+/// pinned. Folding itself changes no result (the values equalled the
+/// unfolded V-cycle's, which kept those levels resident and projected
+/// through them unrefined); the `0` row was re-pinned once when FM passes
+/// in the refiner began to stop on a stall. `200` folds the four largest
+/// coarse levels into one map; `0` folds every coarse level but the
+/// coarsest, whose starts then stay unrefined.
 #[test]
 fn folded_vcycles_on_p2_are_pinned() {
     use prop_suite::core::GlobalPartitioner;
@@ -451,7 +453,7 @@ fn folded_vcycles_on_p2_are_pinned() {
     let balance = BalanceConstraint::new(0.45, 0.55, g.num_nodes()).unwrap();
     for (skip, cut, passes, hash) in [
         (200usize, 70.0, 35usize, 7_635_526_917_272_321_682u64),
-        (0, 261.0, 8, 12_290_397_168_485_615_861),
+        (0, 208.0, 4, 6_335_119_785_474_489_813),
     ] {
         let ml = Multilevel::standard(MultilevelConfig {
             refine_skip_nodes: skip,
@@ -466,6 +468,33 @@ fn folded_vcycles_on_p2_are_pinned() {
         assert_eq!(got, (cut, passes, hash), "refine_skip_nodes={skip}");
         assert_eq!(result.cut_cost, oracle::naive_cut(&g, &result.partition));
     }
+}
+
+/// A V-cycle result that a run discards is counted, so the fallback to
+/// the run's random start is visible in `ml_rejected` (`cargo test
+/// --features prof --test multilevel_vcycle`). On p2, coarsening to 2
+/// nodes leaves every V-cycle unbalanced; at the default coarsest size
+/// every one is accepted.
+#[cfg(feature = "prof")]
+#[test]
+fn discarded_vcycles_are_counted() {
+    use prop_suite::core::prof;
+    let g = p2();
+    let balance = BalanceConstraint::new(0.45, 0.55, g.num_nodes()).unwrap();
+    let rejected = |coarsest_nodes: usize| {
+        prof::reset();
+        Multilevel::standard(MultilevelConfig {
+            coarsest_nodes,
+            ..MultilevelConfig::default()
+        })
+        .run_multi(&g, balance, 4, 0)
+        .unwrap();
+        let s = prof::snapshot();
+        prof::reset();
+        s.ml_rejected
+    };
+    assert_eq!(rejected(2), 4);
+    assert_eq!(rejected(MultilevelConfig::default().coarsest_nodes), 0);
 }
 
 /// Matching seeds and the `max_levels` cap count levels *built*, so the
