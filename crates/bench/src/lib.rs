@@ -8,8 +8,6 @@
 //! * `scaling` — PROP pass time against circuit size (the §3.5
 //!   Θ(m log n) claim).
 //! * `ablation` — runtime effect of PROP's parameters.
-//! * `intra_parallel` — the `ml` V-cycle at the classic sequential
-//!   engine vs the deterministic intra-parallel engine at 1/2/4 workers.
 //!
 //! Benchmarks use the smaller proxy circuits and reduced run counts so a
 //! full `cargo bench --workspace` finishes in minutes; the experiment

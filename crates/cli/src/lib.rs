@@ -148,9 +148,8 @@ pub enum Command {
         seed: u64,
         /// `--threads`, resolved by [`resolve_threads`]: the runs (and
         /// k-way subtrees) use every CPU when `None` or `Some(0)`, at most
-        /// `n` with `Some(n)`; for `ml` any value selects the V-cycle's
-        /// intra-run workers instead. The result is bit-identical for
-        /// every count.
+        /// `n` with `Some(n)`. The result is bit-identical for every
+        /// count.
         threads: Option<usize>,
         /// Optional path for the node→side assignment output.
         assign: Option<String>,
@@ -330,15 +329,11 @@ partition runs the best-of-R runs of iterative methods (and, with --k,
 the sibling subtrees of the recursion) on every CPU by default;
 --threads N caps them at N threads in all (0 = every CPU). The result
 is bit-identical at every count.
-For --method ml, --threads (or --ml-threads) instead sets the workers
-*inside* each V-cycle (deterministic coarsening + synchronous-round
-refinement; bit-identical at every count, but a different algorithm
-than the default classic V-cycle); runs and subtrees then go one at a
-time.
+This holds for every method, ml included: each V-cycle runs on one
+thread.
 The ml method takes --ml-coarsest, --ml-starts, --ml-max-net,
---ml-refine-passes, --ml-polish, and --ml-threads V-cycle knobs
-(partition and submit; --ml-threads N = intra-run workers, 0 = classic
-sequential engine). --ml-flow adds flow-based corridor refinement after
+--ml-refine-passes, and --ml-polish V-cycle knobs (partition and
+submit). --ml-flow adds flow-based corridor refinement after
 each level's move passes; --ml-flow-corridor N caps the corridor at N
 nodes per side (implies --ml-flow; default 3000).
 serve/submit/ctl default to 127.0.0.1:7077; submit prints the daemon's
@@ -420,12 +415,6 @@ fn parse_ml_flag<'a>(
         "--ml-max-net" => ml.max_match_net = parse_num(arg, take_value(arg, it)?)?,
         "--ml-refine-passes" => ml.refine_passes = parse_num(arg, take_value(arg, it)?)?,
         "--ml-polish" => ml.polish_passes = parse_num(arg, take_value(arg, it)?)?,
-        "--ml-threads" => {
-            ml.intra = match parse_num::<usize>(arg, take_value(arg, it)?)? {
-                0 => ParallelPolicy::Sequential,
-                n => ParallelPolicy::Threads(n),
-            }
-        }
         "--ml-flow" => ml.flow.enabled = true,
         "--ml-flow-corridor" => {
             ml.flow.enabled = true;
@@ -912,46 +901,16 @@ fn extension(path: &str) -> &str {
         .unwrap_or("")
 }
 
-/// The one `--threads` rule of `prop partition`, for the 2-way and the
-/// k-way path alike. Maps the engine, `--threads` and `--ml-threads`
-/// (`ml_intra`) to `(intra, policy)`: the V-cycle's intra-run workers
-/// (`spec.ml.intra`, read by `ml` only) and the policy that fans out the
-/// runs and, for k-way, the sibling subtrees.
-///
-/// Runs and subtrees use every CPU unless `--threads N` caps them at `N`
-/// (`0` = every CPU). For `ml`, `--threads` sets the intra-run workers
-/// instead of `--ml-threads`; once intra workers run (`intra` is not
-/// `Sequential`, the classic V-cycle), runs and subtrees go one at a
-/// time. Every count gives the bit-identical result.
-pub fn resolve_threads(
-    name: EngineName,
-    threads: Option<usize>,
-    ml_intra: ParallelPolicy,
-) -> (ParallelPolicy, ParallelPolicy) {
-    let workers = match threads {
+/// The one `--threads` rule of `prop partition`, for every method and
+/// for the 2-way and the k-way path alike: the policy that fans out the
+/// runs and, for k-way, the sibling subtrees. They use every CPU unless
+/// `--threads N` caps them at `N` (`0` = every CPU). Every count gives
+/// the bit-identical result.
+pub fn resolve_threads(threads: Option<usize>) -> ParallelPolicy {
+    match threads {
         None | Some(0) => ParallelPolicy::Auto,
         Some(n) => ParallelPolicy::Threads(n),
-    };
-    let ml = name == EngineName::Ml;
-    let intra = if ml && threads.is_some() { workers } else { ml_intra };
-    if ml && intra != ParallelPolicy::Sequential {
-        (intra, ParallelPolicy::Sequential)
-    } else {
-        (intra, workers)
     }
-}
-
-/// Parses `--method` and applies [`resolve_threads`]: the engine to build
-/// and the run/driver policy.
-fn partition_spec(
-    method: &str,
-    threads: Option<usize>,
-    mut ml: MultilevelConfig,
-) -> Result<(EngineSpec, ParallelPolicy), CliError> {
-    let name = parse_method(method)?;
-    let policy;
-    (ml.intra, policy) = resolve_threads(name, threads, ml.intra);
-    Ok((EngineSpec { name, ml }, policy))
 }
 
 /// Runs the named method on a graph with the default multilevel knobs;
@@ -992,7 +951,11 @@ pub fn run_method_ml(
     threads: Option<usize>,
     ml: MultilevelConfig,
 ) -> Result<RunResult, CliError> {
-    let (spec, policy) = partition_spec(method, threads, ml)?;
+    let policy = resolve_threads(threads);
+    let spec = EngineSpec {
+        name: parse_method(method)?,
+        ml,
+    };
     match spec.build(seed, runs) {
         Engine::Iterative(engine) => engine.run_multi_parallel(graph, balance, runs, seed, policy),
         Engine::Global(engine) => engine.partition(graph, balance),
@@ -1023,7 +986,10 @@ pub fn run_kway(
     threads: Option<usize>,
     ml: MultilevelConfig,
 ) -> Result<KwayReport, CliError> {
-    let (spec, policy) = partition_spec(method, threads, ml)?;
+    let spec = EngineSpec {
+        name: parse_method(method)?,
+        ml,
+    };
     let engine = spec.build(seed, 0).iterative().ok_or_else(|| {
         usage(format!(
             "method {method:?} cannot drive k-way recursion (use an iterative method)"
@@ -1036,7 +1002,7 @@ pub fn run_kway(
         seed,
         r1,
         r2,
-        policy,
+        policy: resolve_threads(threads),
     };
     partition_kway(graph, engine.as_ref(), &config).map_err(|e| failure(e.to_string()))
 }
@@ -1294,10 +1260,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 ml_max_net: ml.max_match_net,
                 ml_refine_passes: ml.refine_passes,
                 ml_polish: ml.polish_passes,
-                ml_threads: match ml.intra {
-                    ParallelPolicy::Threads(n) => n,
-                    _ => 0,
-                },
                 ml_flow: u8::from(ml.flow.enabled),
                 ml_flow_corridor: ml.flow.corridor_nodes,
                 k,
@@ -1901,50 +1863,27 @@ mod tests {
     }
 
     /// The whole `--threads` rule, as one table. `resolve_threads` takes
-    /// no `k`: the 2-way and the k-way path both resolve through it
-    /// (`partition_spec`), so every row holds for both.
+    /// no engine and no `k`: every method, on the 2-way and the k-way
+    /// path, resolves through it.
     #[test]
     fn resolve_threads_table() {
-        use ParallelPolicy::{Auto, Sequential, Threads};
-        let flat = [EngineName::Prop, EngineName::Fm, EngineName::Sa];
-        // Flat engines: the runs use every CPU unless --threads caps them;
-        // `ml.intra` passes through unread.
-        for name in flat {
-            for ml_intra in [Sequential, Threads(2)] {
-                for (threads, policy) in [
-                    (None, Auto),
-                    (Some(0), Auto),
-                    (Some(1), Threads(1)),
-                    (Some(3), Threads(3)),
-                ] {
-                    assert_eq!(
-                        resolve_threads(name, threads, ml_intra),
-                        (ml_intra, policy),
-                        "{name} --threads {threads:?}"
-                    );
-                }
-            }
+        use ParallelPolicy::{Auto, Threads};
+        for (threads, policy) in [
+            (None, Auto),
+            (Some(0), Auto),
+            (Some(1), Threads(1)),
+            (Some(3), Threads(3)),
+        ] {
+            assert_eq!(resolve_threads(threads), policy, "--threads {threads:?}");
         }
-        // ml: (--threads, --ml-threads as ml.intra) -> (intra, policy).
-        let ml = [
-            // Classic V-cycle, runs on every CPU.
-            (None, Sequential, (Sequential, Auto)),
-            // --threads selects the intra-run workers; runs go one at a time.
-            (Some(0), Sequential, (Auto, Sequential)),
-            (Some(1), Sequential, (Threads(1), Sequential)),
-            (Some(3), Sequential, (Threads(3), Sequential)),
-            // --ml-threads alone keeps its workers; --threads overrides it.
-            (None, Threads(2), (Threads(2), Sequential)),
-            (Some(0), Threads(2), (Auto, Sequential)),
-            (Some(1), Threads(2), (Threads(1), Sequential)),
-            (Some(3), Threads(2), (Threads(3), Sequential)),
-        ];
-        for (threads, ml_intra, expect) in ml {
-            assert_eq!(
-                resolve_threads(EngineName::Ml, threads, ml_intra),
-                expect,
-                "ml --threads {threads:?} ml.intra {ml_intra:?}"
-            );
+    }
+
+    #[test]
+    fn removed_ml_threads_flag_is_a_usage_error() {
+        for cmd in ["partition", "submit"] {
+            let err = parse_args(&argv(&[cmd, "x.hgr", "--ml-threads", "2"])).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd}");
+            assert!(err.message.contains("--ml-threads"), "{cmd}: {}", err.message);
         }
     }
 
@@ -1964,21 +1903,12 @@ mod tests {
         for method in EngineName::ALL.map(EngineName::as_str) {
             let result = run_method(method, &graph, balance, 2, 0, None).unwrap();
             assert!(result.partition.is_balanced(balance), "{method}");
+            // Runs on every CPU, on one, and on two give the same result
+            // exactly.
             let one = run_method(method, &graph, balance, 2, 0, Some(1)).unwrap();
             let par = run_method(method, &graph, balance, 2, 0, Some(2)).unwrap();
-            if method == "ml" {
-                // For ml, --threads engages the deterministic
-                // intra-parallel V-cycle — a different algorithm than the
-                // default classic engine, but bit-identical across thread
-                // counts.
-                assert!(par.partition.is_balanced(balance), "{method}");
-                assert_eq!(par, one, "{method}");
-            } else {
-                // Runs on every CPU, on one, and on two give the same
-                // result exactly.
-                assert_eq!(one, result, "{method}");
-                assert_eq!(par, result, "{method}");
-            }
+            assert_eq!(one, result, "{method}");
+            assert_eq!(par, result, "{method}");
         }
         assert!(run_method("nope", &graph, balance, 1, 0, None).is_err());
     }

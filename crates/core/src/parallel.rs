@@ -102,77 +102,6 @@ fn run_workers<F: Fn() + Sync>(workers: usize, worker: F) {
     });
 }
 
-/// Deterministic chunked map: the backbone of *intra-run* parallelism.
-///
-/// Splits `0..n` into fixed-size chunks of `chunk` items — the chunk
-/// boundaries depend only on `n` and `chunk`, never on the worker count —
-/// and evaluates `f(chunk_index, range)` for every chunk. Results land in
-/// a slot vector indexed by chunk id (never completion order) and are
-/// returned in chunk order, so the output is **bit-identical for every
-/// thread policy**: parallel callers get exactly the sequential result.
-///
-/// Each worker builds one scratch value via `init` and threads it through
-/// every chunk it claims, so per-item scratch arrays (score accumulators,
-/// epoch marks) are allocated once per worker instead of once per chunk.
-/// The scratch must not carry state *between* chunks that affects results
-/// — chunk assignment to workers is scheduling-dependent.
-///
-/// With one worker (or one chunk) everything runs on the calling thread
-/// in chunk order with a single scratch, which also keeps the
-/// thread-local [`cancel`] slot visible. Worker threads' [`prof`] counters
-/// are folded into the caller's at the join.
-pub fn map_chunks_with<S, T, F, I>(
-    policy: ParallelPolicy,
-    n: usize,
-    chunk: usize,
-    init: I,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, std::ops::Range<usize>) -> T + Sync,
-{
-    let chunk = chunk.max(1);
-    let chunks = n.div_ceil(chunk);
-    let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let workers = policy.worker_count(chunks);
-    if workers <= 1 {
-        let mut scratch = init();
-        return (0..chunks).map(|c| f(&mut scratch, c, range_of(c))).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    run_workers(workers, || {
-        let mut scratch = init();
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= chunks {
-                break;
-            }
-            let out = f(&mut scratch, c, range_of(c));
-            *slots[c].lock().expect("chunk slot poisoned") = Some(out);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("chunk slot poisoned")
-                .expect("every chunk index was claimed by a worker")
-        })
-        .collect()
-}
-
-/// [`map_chunks_with`] without per-worker scratch.
-pub fn map_chunks<T, F>(policy: ParallelPolicy, n: usize, chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> T + Sync,
-{
-    map_chunks_with(policy, n, chunk, || (), |(), c, range| f(c, range))
-}
-
 /// A complete multi-start work order: how many runs, from which base
 /// seed, over how many threads.
 ///
@@ -563,73 +492,6 @@ mod tests {
             b.add_net(1.0, [i, i + 1]).unwrap();
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn map_chunks_is_policy_independent() {
-        let n = 1003;
-        let expected: Vec<Vec<usize>> = map_chunks(ParallelPolicy::Sequential, n, 64, |c, r| {
-            r.map(|i| i * 2 + c).collect()
-        });
-        for policy in [
-            ParallelPolicy::Threads(1),
-            ParallelPolicy::Threads(2),
-            ParallelPolicy::Threads(4),
-            ParallelPolicy::Auto,
-        ] {
-            let got: Vec<Vec<usize>> =
-                map_chunks(policy, n, 64, |c, r| r.map(|i| i * 2 + c).collect());
-            assert_eq!(got, expected, "{policy:?}");
-        }
-        // Every index is covered exactly once, in order.
-        let flat: Vec<usize> = expected.into_iter().flatten().collect();
-        assert_eq!(flat.len(), n);
-        assert!(flat.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn map_chunks_handles_edge_sizes() {
-        // Empty domain → no chunks.
-        let empty: Vec<usize> = map_chunks(ParallelPolicy::Threads(4), 0, 8, |c, _| c);
-        assert!(empty.is_empty());
-        // chunk = 0 is treated as 1.
-        let ones: Vec<usize> = map_chunks(ParallelPolicy::Threads(2), 3, 0, |_, r| r.len());
-        assert_eq!(ones, vec![1, 1, 1]);
-        // chunk larger than n → a single chunk.
-        let one: Vec<usize> = map_chunks(ParallelPolicy::Threads(8), 5, 100, |_, r| r.len());
-        assert_eq!(one, vec![5]);
-    }
-
-    #[test]
-    fn map_chunks_with_reuses_worker_scratch() {
-        // Scratch is per worker: sequentially, one scratch sees every
-        // chunk. The per-chunk *result* must not depend on that reuse —
-        // here it doesn't (the scratch is reset per chunk) — and the
-        // parallel output matches.
-        let seq: Vec<u64> = map_chunks_with(
-            ParallelPolicy::Sequential,
-            100,
-            7,
-            Vec::<u64>::new,
-            |scratch, _, r| {
-                scratch.clear();
-                scratch.extend(r.map(|i| i as u64));
-                scratch.iter().sum()
-            },
-        );
-        let par: Vec<u64> = map_chunks_with(
-            ParallelPolicy::Threads(3),
-            100,
-            7,
-            Vec::<u64>::new,
-            |scratch, _, r| {
-                scratch.clear();
-                scratch.extend(r.map(|i| i as u64));
-                scratch.iter().sum()
-            },
-        );
-        assert_eq!(seq, par);
-        assert_eq!(seq.iter().sum::<u64>(), (0..100u64).sum());
     }
 
     #[test]

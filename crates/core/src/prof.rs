@@ -8,9 +8,8 @@
 //!
 //! With the feature on, counters are **thread-local**: each worker thread
 //! accumulates its own snapshot, and every parallel join in `prop-core`
-//! (the multi-start harness, [`map_chunks`](crate::map_chunks) and the
-//! k-way subtree split) folds its workers' snapshots into the joining
-//! thread with [`absorb`]. Counts are therefore the same at every worker
+//! (the multi-start harness and the k-way subtree split) folds its
+//! workers' snapshots into the joining thread with [`absorb`]. Counts are therefore the same at every worker
 //! count; the `*_ns` timers sum worker time, so they exceed wall time
 //! when workers overlap.
 
@@ -77,17 +76,6 @@ pub struct ProfSnapshot {
     /// more than the incoming partition. A V-cycle whose coarse windows
     /// leave it unbalanced shows up here rather than only as a poor cut.
     pub ml_rejected: u64,
-    /// Synchronous refinement rounds executed (intra-parallel V-cycle).
-    pub sync_rounds: u64,
-    /// Candidate moves collected across synchronous rounds.
-    pub sync_candidates: u64,
-    /// Moves committed (best-prefix lengths summed) across synchronous
-    /// rounds; `sync_candidates - sync_committed` is the rolled-back or
-    /// balance-skipped tail, the first thing to inspect when an
-    /// intra-parallel run stops converging.
-    pub sync_committed: u64,
-    /// Propose/resolve rounds executed by parallel matching coarsening.
-    pub match_rounds: u64,
     /// Corridors grown by the flow refinement pass (one per attempted
     /// min-cut round).
     pub flow_corridors: u64,
@@ -114,7 +102,7 @@ impl ProfSnapshot {
     /// Every counter by name, in declaration order: the one list that
     /// reporting surfaces (daemon `stats`, `bench_snapshot --profile`)
     /// render from.
-    pub fn fields(&self) -> [(&'static str, u64); 21] {
+    pub fn fields(&self) -> [(&'static str, u64); 17] {
         // Destructured so a new field cannot be left out of the list.
         let ProfSnapshot {
             seed_ns,
@@ -131,10 +119,6 @@ impl ProfSnapshot {
             ml_refine_ns,
             ml_levels,
             ml_rejected,
-            sync_rounds,
-            sync_candidates,
-            sync_committed,
-            match_rounds,
             flow_corridors,
             flow_augments,
             flow_accepted,
@@ -154,10 +138,6 @@ impl ProfSnapshot {
             ("ml_refine_ns", ml_refine_ns),
             ("ml_levels", ml_levels),
             ("ml_rejected", ml_rejected),
-            ("sync_rounds", sync_rounds),
-            ("sync_candidates", sync_candidates),
-            ("sync_committed", sync_committed),
-            ("match_rounds", match_rounds),
             ("flow_corridors", flow_corridors),
             ("flow_augments", flow_augments),
             ("flow_accepted", flow_accepted),
@@ -182,10 +162,6 @@ impl ProfSnapshot {
             ml_refine_ns,
             ml_levels,
             ml_rejected,
-            sync_rounds,
-            sync_candidates,
-            sync_committed,
-            match_rounds,
             flow_corridors,
             flow_augments,
             flow_accepted,
@@ -204,10 +180,6 @@ impl ProfSnapshot {
         self.ml_refine_ns += ml_refine_ns;
         self.ml_levels += ml_levels;
         self.ml_rejected += ml_rejected;
-        self.sync_rounds += sync_rounds;
-        self.sync_candidates += sync_candidates;
-        self.sync_committed += sync_committed;
-        self.match_rounds += match_rounds;
         self.flow_corridors += flow_corridors;
         self.flow_augments += flow_augments;
         self.flow_accepted += flow_accepted;
@@ -278,22 +250,6 @@ mod imp {
         PROF.with(|p| p.borrow_mut().net_recomputes += 1);
     }
 
-    /// Counts one synchronous refinement round: how many candidates it
-    /// collected and how many moves its best prefix committed.
-    pub fn count_sync_round(candidates: u64, committed: u64) {
-        PROF.with(|p| {
-            let mut p = p.borrow_mut();
-            p.sync_rounds += 1;
-            p.sync_candidates += candidates;
-            p.sync_committed += committed;
-        });
-    }
-
-    /// Counts one propose/resolve round of parallel matching.
-    pub fn count_match_round() {
-        PROF.with(|p| p.borrow_mut().match_rounds += 1);
-    }
-
     /// Counts one flow-refinement corridor: how many augmenting paths its
     /// max-flow round pushed and whether the induced cut was accepted.
     pub fn count_flow_round(augments: u64, accepted: bool) {
@@ -362,14 +318,6 @@ mod imp {
     #[inline(always)]
     pub fn count_net_recompute() {}
 
-    /// Counts one synchronous refinement round (no-op).
-    #[inline(always)]
-    pub fn count_sync_round(_candidates: u64, _committed: u64) {}
-
-    /// Counts one propose/resolve round of parallel matching (no-op).
-    #[inline(always)]
-    pub fn count_match_round() {}
-
     /// Counts one flow-refinement corridor (no-op).
     #[inline(always)]
     pub fn count_flow_round(_augments: u64, _accepted: bool) {}
@@ -394,9 +342,8 @@ mod imp {
 }
 
 pub use imp::{
-    absorb, count_flow_round, count_gain_recompute, count_match_round, count_ml_level,
-    count_ml_rejected, count_move, count_net_recompute, count_sync_round, reset, snapshot, start,
-    stop, Tick,
+    absorb, count_flow_round, count_gain_recompute, count_ml_level, count_ml_rejected, count_move,
+    count_net_recompute, reset, snapshot, start, stop, Tick,
 };
 
 #[cfg(test)]
@@ -462,9 +409,6 @@ mod tests {
         count_move();
         count_net_recompute();
         count_gain_recompute();
-        count_sync_round(10, 4);
-        count_sync_round(6, 6);
-        count_match_round();
         count_ml_rejected();
         count_flow_round(5, true);
         count_flow_round(3, false);
@@ -474,10 +418,6 @@ mod tests {
         assert_eq!(s.moves, 2);
         assert_eq!(s.net_recomputes, 1);
         assert_eq!(s.gain_recomputes, 1);
-        assert_eq!(s.sync_rounds, 2);
-        assert_eq!(s.sync_candidates, 16);
-        assert_eq!(s.sync_committed, 10);
-        assert_eq!(s.match_rounds, 1);
         assert_eq!(s.ml_rejected, 1);
         assert_eq!(s.flow_corridors, 2);
         assert_eq!(s.flow_augments, 8);

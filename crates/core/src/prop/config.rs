@@ -234,15 +234,19 @@ mod tests {
 
     #[test]
     fn bounded_probe_depth_is_legal() {
-        let mut c = PropConfig::default();
-        c.balance_probe_depth = Some(8);
+        let c = PropConfig {
+            balance_probe_depth: Some(8),
+            ..PropConfig::default()
+        };
         c.validate().unwrap();
     }
 
     #[test]
     fn pmax_one_is_legal() {
-        let mut c = PropConfig::default();
-        c.p_max = 1.0;
+        let c = PropConfig {
+            p_max: 1.0,
+            ..PropConfig::default()
+        };
         c.validate().unwrap();
         assert_eq!(c.probability_of(10.0), 1.0);
     }

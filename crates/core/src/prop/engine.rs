@@ -795,13 +795,9 @@ mod tests {
         engine.recompute_all_gains(&partition);
 
         let oracle = probabilistic_gains(&graph, &partition, &vec![0.7; 60], &[false; 60]);
-        for v in 0..60 {
-            assert!(
-                (engine.gain[v] - oracle[v]).abs() < 1e-9,
-                "node {v}: {} vs {}",
-                engine.gain[v],
-                oracle[v]
-            );
+        assert_eq!(engine.gain.len(), oracle.len());
+        for (v, (&got, &want)) in engine.gain.iter().zip(&oracle).enumerate() {
+            assert!((got - want).abs() < 1e-9, "node {v}: {got} vs {want}");
         }
     }
 
@@ -864,10 +860,12 @@ mod tests {
     #[test]
     fn incremental_gains_match_oracle_after_moves() {
         let graph = generate(&GeneratorConfig::new(40, 48, 160).with_seed(33)).unwrap();
-        let mut config = PropConfig::default();
-        config.p_min = 0.7;
-        config.p_max = 0.7;
-        config.p_init = 0.7;
+        let config = PropConfig {
+            p_min: 0.7,
+            p_max: 0.7,
+            p_init: 0.7,
+            ..PropConfig::default()
+        };
         let balance = BalanceConstraint::bisection(40);
         let mut rng = StdRng::seed_from_u64(6);
         let mut partition = Bipartition::random(40, &mut rng);
@@ -1052,8 +1050,10 @@ mod tests {
         for seed in 0..4u64 {
             let mut results = Vec::new();
             for selection in [SelectionBackend::AvlTree, SelectionBackend::IndexedHeap] {
-                let mut config = PropConfig::default();
-                config.selection = selection;
+                let config = PropConfig {
+                    selection,
+                    ..PropConfig::default()
+                };
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut partition = Bipartition::random(150, &mut rng);
                 let mut cut = CutState::new(&graph, &partition);

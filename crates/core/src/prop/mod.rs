@@ -194,8 +194,10 @@ mod tests {
         let g = generate(&GeneratorConfig::new(120, 130, 440).with_seed(8)).unwrap();
         let balance = BalanceConstraint::bisection(g.num_nodes());
         for init in [GainInit::Uniform, GainInit::Deterministic] {
-            let mut cfg = PropConfig::default();
-            cfg.init = init;
+            let cfg = PropConfig {
+                init,
+                ..PropConfig::default()
+            };
             let res = Prop::new(cfg).run_seeded(&g, balance, 3).unwrap();
             assert!(res.partition.is_balanced(balance), "{init:?}");
             assert_eq!(res.cut_cost, cut_cost(&g, &res.partition));
@@ -230,9 +232,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid PROP configuration")]
     fn invalid_config_panics() {
-        let mut cfg = PropConfig::default();
-        cfg.p_min = 0.0;
-        let _ = Prop::new(cfg);
+        let _ = Prop::new(PropConfig {
+            p_min: 0.0,
+            ..PropConfig::default()
+        });
     }
 
     #[test]

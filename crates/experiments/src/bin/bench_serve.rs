@@ -204,7 +204,7 @@ fn cluster_mode(opts: &Options) {
         );
         rows.push(format!(
             "  {{\"circuit\": \"golem3\", \"method\": \"cluster-batch\", \"runs\": {}, \
-             \"threads\": {}, \"intra_threads\": 0, \"best_cut\": {}, \"secs_total\": {:.6}, \
+             \"threads\": {}, \"best_cut\": {}, \"secs_total\": {:.6}, \
              \"secs_per_run\": {:.6}, \"load_ms\": 0, \"parse_ms\": 0, \
              \"threads_avail\": {}, \"git_rev\": \"{}\", \"label\": \"cluster-batch\"}}",
             sweep_runs,

@@ -10,13 +10,10 @@
 //! oracle.
 //!
 //! Every row carries provenance: the machine's available parallelism, the
-//! git revision of the working tree, an optional free-form label, and
-//! `intra_threads` (the intra-run V-cycle workers of the ML engine; `0`
-//! for classic/sequential rows). Rows written by older versions of this
-//! binary are backfilled with explicit defaults when a labelled run
-//! merges into an existing file, so the schema stays uniform. For the ML
-//! engine the snapshot adds an intra-parallel pair — `intra_threads` 1
-//! and max — whose cuts must match (worker-count invariance).
+//! git revision of the working tree, and an optional free-form label.
+//! Rows written by older versions of this binary are backfilled with
+//! explicit defaults when a labelled run merges into an existing file, so
+//! the schema stays uniform.
 //!
 //! Shared options: `--quick` (fewer runs), `--runs <n>`, `--threads <n>`
 //! (override the "max" thread count; 0 = auto-detect). Snapshot-specific
@@ -41,9 +38,9 @@
 //!   counts) a changed `best_cut`.
 //! * `--kway` — recursive k-way benchmark instead of bipartitioning:
 //!   for each circuit run the k-way driver over the multilevel V-cycle at
-//!   `k = 4` and `k = 8`, once with one intra-run worker and once with
-//!   the machine's worker count, emit `ML-k4`/`ML-k8` rows whose
-//!   `best_cut` is the hyperedge cut, and fail unless each worker pair is
+//!   `k = 4` and `k = 8`, once sequentially and once with the machine's
+//!   worker count fanning out subtrees and runs, emit `ML-k4`/`ML-k8` rows
+//!   whose `best_cut` is the hyperedge cut, and fail unless each pair is
 //!   bit-identical and the cut matches the independent k-way oracle.
 //!   `--large` extends the set with golem3.
 //! * `--io` — loader benchmark instead of partitioning: for each circuit,
@@ -84,21 +81,11 @@ fn iterative(spec: &EngineSpec) -> Box<dyn Partitioner> {
     spec.build(0, 0).iterative().expect("snapshot engines are iterative")
 }
 
-/// The multilevel engine with `threads` intra-run V-cycle workers.
-fn ml_intra(threads: usize) -> Box<dyn Partitioner> {
-    let mut spec = EngineSpec::new(EngineName::Ml);
-    spec.ml.intra = ParallelPolicy::Threads(threads);
-    iterative(&spec)
-}
-
 struct Record {
     circuit: String,
     method: String,
     runs: usize,
     threads: usize,
-    /// Intra-run V-cycle workers (`ml` engine): `0` marks the classic
-    /// sequential engine, `n >= 1` the deterministic intra-parallel one.
-    intra_threads: usize,
     best_cut: f64,
     secs_total: f64,
     /// Wall-clock milliseconds to load the circuit from its `.hgb`
@@ -182,7 +169,15 @@ fn parse_snapshot_args() -> (Options, SnapshotOptions) {
     (opts, extra)
 }
 
-#[allow(clippy::too_many_arguments)] // a flat row-measurement call site
+/// The row's thread count as a harness policy: `Sequential` at one.
+fn policy(threads: usize) -> ParallelPolicy {
+    if threads <= 1 {
+        ParallelPolicy::Sequential
+    } else {
+        ParallelPolicy::Threads(threads)
+    }
+}
+
 fn measure(
     circuit: &str,
     method: &str,
@@ -191,16 +186,10 @@ fn measure(
     balance: BalanceConstraint,
     runs: usize,
     threads: usize,
-    intra_threads: usize,
 ) -> Record {
-    let policy = if threads <= 1 {
-        ParallelPolicy::Sequential
-    } else {
-        ParallelPolicy::Threads(threads)
-    };
     let start = Instant::now();
     let result = partitioner
-        .run_multi_parallel(graph, balance, runs, 0, policy)
+        .run_multi_parallel(graph, balance, runs, 0, policy(threads))
         .expect("non-empty graph and runs >= 1");
     let secs_total = start.elapsed().as_secs_f64();
     // Oracle cross-check (outside the timed region): the reported best cut
@@ -215,7 +204,6 @@ fn measure(
         method: method.to_string(),
         runs,
         threads,
-        intra_threads,
         best_cut: result.cut_cost,
         secs_total,
         load_ms: 0.0,
@@ -242,14 +230,13 @@ fn render_rows(records: &[Record], threads_avail: usize, rev: &str, label: &str)
         .map(|r| {
             format!(
                 "  {{\"circuit\": \"{}\", \"method\": \"{}\", \"runs\": {}, \"threads\": {}, \
-                 \"intra_threads\": {}, \"best_cut\": {}, \"secs_total\": {:.6}, \
+                 \"best_cut\": {}, \"secs_total\": {:.6}, \
                  \"secs_per_run\": {:.6}, \"load_ms\": {:.3}, \"parse_ms\": {:.3}, \
                  \"threads_avail\": {}, \"git_rev\": \"{}\", \"label\": \"{}\"}}",
                 r.circuit,
                 r.method,
                 r.runs,
                 r.threads,
-                r.intra_threads,
                 r.best_cut,
                 r.secs_total,
                 r.secs_per_run(),
@@ -264,25 +251,23 @@ fn render_rows(records: &[Record], threads_avail: usize, rev: &str, label: &str)
 }
 
 /// The identity of a snapshot row for append-mode deduplication.
-fn row_key(line: &str) -> Option<(String, String, String, String, String)> {
+fn row_key(line: &str) -> Option<(String, String, String, String)> {
     Some((
         field(line, "label")?.to_string(),
         field(line, "circuit")?.to_string(),
         field(line, "method")?.to_string(),
         field(line, "threads")?.to_string(),
-        field(line, "intra_threads").unwrap_or("0").to_string(),
     ))
 }
 
 /// Backfills provenance fields that predate them: rows written before
-/// `threads_avail`/`git_rev`/`label`/`intra_threads` existed get explicit
+/// `threads_avail`/`git_rev`/`label`/`load_ms`/`parse_ms` existed get explicit
 /// defaults, so every row of a merged snapshot carries the full schema
 /// (`threads_avail: 0` / `git_rev: "unknown"` mark the provenance as
 /// genuinely unrecorded, not as measured-on-this-machine).
 fn normalize_row(line: &str) -> String {
     let mut row = line.trim_end().trim_end_matches(',').trim_end().to_string();
     for (key, default) in [
-        ("intra_threads", "0"),
         ("load_ms", "0"),
         ("parse_ms", "0"),
         ("threads_avail", "0"),
@@ -298,7 +283,7 @@ fn normalize_row(line: &str) -> String {
 }
 
 /// Merges new rows into an existing snapshot body: any old row with the
-/// same (label, circuit, method, threads, intra_threads) key as a new row
+/// same (label, circuit, method, threads) key as a new row
 /// is dropped, so re-running a labelled snapshot updates its trajectory
 /// point in place instead of accumulating duplicates. Rows from other
 /// labels are kept, normalized to the full field schema.
@@ -336,7 +321,6 @@ struct BaselineRow {
     method: String,
     runs: usize,
     threads: usize,
-    intra_threads: usize,
     best_cut: f64,
     secs_per_run: f64,
 }
@@ -363,7 +347,6 @@ fn parse_baseline(path: &str) -> Vec<BaselineRow> {
                 method: field(line, "method")?.to_string(),
                 runs: field(line, "runs")?.parse().ok()?,
                 threads: field(line, "threads")?.parse().ok()?,
-                intra_threads: field(line, "intra_threads").unwrap_or("0").parse().ok()?,
                 best_cut: field(line, "best_cut")?.parse().ok()?,
                 secs_per_run: field(line, "secs_per_run")?.parse().ok()?,
             })
@@ -379,15 +362,12 @@ fn compare_against(baseline: &[BaselineRow], records: &[Record]) -> usize {
     // timings); the speedup floor inside `--io` is their gate.
     for r in records.iter().filter(|r| r.threads == 1 && r.method != "load") {
         // The latest matching baseline row wins (an appended trajectory
-        // lists newest rows last). Intra-parallel rows only compare
-        // against baselines at the same intra worker count — the intra
-        // engine is a different algorithm with its own cut and timing.
-        let Some(base) = baseline.iter().rev().find(|b| {
-            b.circuit == r.circuit
-                && b.method == r.method
-                && b.threads == 1
-                && b.intra_threads == r.intra_threads
-        }) else {
+        // lists newest rows last).
+        let Some(base) = baseline
+            .iter()
+            .rev()
+            .find(|b| b.circuit == r.circuit && b.method == r.method && b.threads == 1)
+        else {
             println!("  {}/{}: no baseline row, skipping", r.circuit, r.method);
             continue;
         };
@@ -436,7 +416,7 @@ fn profile(circuits: &[&str], runs: usize, method: &str, partitioner: &dyn Parti
         let graph = spec.instantiate().expect("valid spec");
         let balance = BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
         prop_core::prof::reset();
-        let rec = measure(name, method, partitioner, &graph, balance, runs, 1, 0);
+        let rec = measure(name, method, partitioner, &graph, balance, runs, 1);
         let s = prop_core::prof::snapshot();
         let total = s.total_ns().max(1) as f64;
         let pct = |ns: u64| 100.0 * ns as f64 / total;
@@ -544,7 +524,6 @@ fn run_io(circuits: &[&str], threads_avail: usize, label: Option<&str>) {
             method: "load".to_string(),
             runs: 1,
             threads: 1,
-            intra_threads: 0,
             best_cut: 0.0,
             secs_total: (parse_ms + load_ms) / 1e3,
             load_ms,
@@ -563,27 +542,28 @@ fn run_io(circuits: &[&str], threads_avail: usize, label: Option<&str>) {
 
 /// `--kway` mode: the recursive k-way benchmark. For each circuit the
 /// multilevel V-cycle drives the recursive bisection at `k` = 4 and 8,
-/// once per intra-run worker count in `{1, max}`. Each worker pair must
-/// be bit-identical (same assignment hash, so same cut, connectivity,
-/// and part weights), and every reported cut is recounted by the
-/// independent k-way oracle before the row is trusted.
+/// once with [`ParallelPolicy::Sequential`] and once with `max` workers
+/// fanning out the sibling subtrees and each bisection's runs. Each pair
+/// must be bit-identical (same assignment hash, so same cut,
+/// connectivity, and part weights), and every reported cut is recounted
+/// by the independent k-way oracle before the row is trusted.
 fn run_kway(circuits: &[&str], runs: usize, max_threads: usize, threads_avail: usize,
             label: Option<&str>) {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
+    let engine = iterative(&EngineSpec::new(EngineName::Ml));
     let mut records = Vec::new();
     for name in circuits {
         let spec = suite::by_name(name).expect("snapshot circuit");
         let graph = spec.instantiate().expect("valid spec");
         for k in [4usize, 8] {
             let mut pair_hashes = Vec::new();
-            // Even on a single-core box the second row runs with two
-            // intra workers: worker-count invariance is a determinism
-            // property, not a speedup claim.
-            for intra in [1, max_threads.max(2)] {
-                let engine = ml_intra(intra);
+            // Even on a single-core box the second row runs two workers:
+            // the pair is a determinism check, not a speedup claim.
+            for threads in [1, max_threads.max(2)] {
                 let config = KwayConfig {
                     runs,
+                    policy: policy(threads),
                     ..KwayConfig::new(k)
                 };
                 let start = Instant::now();
@@ -601,7 +581,7 @@ fn run_kway(circuits: &[&str], runs: usize, max_threads: usize, threads_avail: u
                 report.partition.assignment().hash(&mut h);
                 pair_hashes.push(h.finish());
                 eprintln!(
-                    "  {name} ML-k{k} runs={runs} intra_threads={intra}: cut={cut} \
+                    "  {name} ML-k{k} runs={runs} threads={threads}: cut={cut} \
                      lambda={} {secs_total:.3}s",
                     report.partition.connectivity_cost(&graph)
                 );
@@ -609,8 +589,7 @@ fn run_kway(circuits: &[&str], runs: usize, max_threads: usize, threads_avail: u
                     circuit: name.to_string(),
                     method: format!("ML-k{k}"),
                     runs,
-                    threads: 1,
-                    intra_threads: intra,
+                    threads,
                     best_cut: cut,
                     secs_total,
                     load_ms: 0.0,
@@ -619,7 +598,7 @@ fn run_kway(circuits: &[&str], runs: usize, max_threads: usize, threads_avail: u
             }
             assert!(
                 pair_hashes.windows(2).all(|w| w[0] == w[1]),
-                "{name}/ML-k{k}: assignment differs across intra worker counts"
+                "{name}/ML-k{k}: assignment differs between sequential and parallel runs"
             );
         }
     }
@@ -705,7 +684,7 @@ fn main() {
         for (method, partitioner) in &engines {
             for threads in [1, max_threads] {
                 let rec =
-                    measure(name, method, partitioner.as_ref(), &graph, balance, runs, threads, 0);
+                    measure(name, method, partitioner.as_ref(), &graph, balance, runs, threads);
                 eprintln!(
                     "  {} {} runs={} threads={}: cut={} {:.3}s",
                     rec.circuit, rec.method, rec.runs, rec.threads, rec.best_cut, rec.secs_total
@@ -713,34 +692,17 @@ fn main() {
                 records.push(rec);
             }
         }
-        // Intra-parallel ML rows: runs stay sequential (threads=1); the
-        // V-cycle itself parallelizes. The pair is also the determinism
-        // gate — the chunk check below asserts equal cuts per pair.
-        if engines.iter().any(|(m, _)| *m == "ML") {
-            for intra in [1, max_threads] {
-                let engine = ml_intra(intra);
-                let rec = measure(name, "ML", engine.as_ref(), &graph, balance, runs, 1, intra);
-                eprintln!(
-                    "  {} {} runs={} intra_threads={}: cut={} {:.3}s",
-                    rec.circuit, rec.method, rec.runs, rec.intra_threads, rec.best_cut,
-                    rec.secs_total
-                );
-                records.push(rec);
-            }
-        }
     }
 
     // Cross-check determinism and report the headline speedup. Records
-    // arrive in pairs — (threads=1, threads=max) per engine, then
-    // (intra=1, intra=max) for ML — and each pair must agree on the cut:
-    // the across-run harness because fan-out is bit-identical, the intra
-    // pair because the intra-parallel V-cycle is worker-count-invariant.
+    // arrive in (threads=1, threads=max) pairs per engine, and each pair
+    // must agree on the cut because run fan-out is bit-identical.
     for pair in records.chunks(2) {
         let [seq, par] = pair else { continue };
         assert_eq!(
             seq.best_cut, par.best_cut,
-            "parallel harness diverged on {}/{} (intra_threads {}/{})",
-            seq.circuit, seq.method, seq.intra_threads, par.intra_threads
+            "parallel harness diverged on {}/{}",
+            seq.circuit, seq.method
         );
     }
     if max_threads > 1 {
@@ -796,7 +758,6 @@ mod tests {
                 method: method.to_string(),
                 runs: 4,
                 threads,
-                intra_threads: 0,
                 best_cut: cut,
                 secs_total: 1.0,
                 load_ms: 0.0,
@@ -864,7 +825,6 @@ mod tests {
                       \"secs_per_run\": 0.015},";
         let merged = merge_rows(legacy, &[row("v1", "p2", "PROP", 1, 150.0)]);
         assert_eq!(merged.len(), 2);
-        assert_eq!(field(&merged[0], "intra_threads"), Some("0"));
         assert_eq!(field(&merged[0], "load_ms"), Some("0"));
         assert_eq!(field(&merged[0], "parse_ms"), Some("0"));
         assert_eq!(field(&merged[0], "threads_avail"), Some("0"));

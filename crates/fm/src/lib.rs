@@ -14,10 +14,6 @@
 //!   graph model, included as a classical reference point.
 //! * [`SimulatedAnnealing`] — Metropolis annealing, the third class of
 //!   approximate schemes §1 cites.
-//! * [`SyncRoundFm`] — the deterministic intra-parallel variant of FM:
-//!   synchronous rounds of parallel candidate collection followed by a
-//!   sequential best-prefix commit, bit-identical at every thread count
-//!   (the refinement engine of the intra-parallel multilevel V-cycle).
 //!
 //! All of them implement [`prop_core::Partitioner`], so the multi-run
 //! protocol of the paper ("FM100" = best of 100 runs) is one call:
@@ -44,10 +40,8 @@ mod kl;
 mod la;
 mod pass;
 mod sa;
-mod sync;
 
 pub use fm::{FmBucket, FmTree};
 pub use kl::Kl;
 pub use la::La;
 pub use sa::SimulatedAnnealing;
-pub use sync::SyncRoundFm;

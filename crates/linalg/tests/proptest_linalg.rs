@@ -27,14 +27,14 @@ proptest! {
             dense[r][c] += v;
         }
         let got = m.matvec(&x);
-        for r in 0..8 {
-            let want: f64 = (0..8).map(|c| dense[r][c] * x[c]).sum();
+        for (r, row) in dense.iter().enumerate() {
+            let want: f64 = row.iter().zip(&x).map(|(a, b)| a * b).sum();
             prop_assert!((got[r] - want).abs() < 1e-12, "row {r}: {} vs {want}", got[r]);
         }
         // get() agrees with the dense model too.
-        for r in 0..8 {
-            for c in 0..8 {
-                prop_assert_eq!(m.get(r, c), dense[r][c]);
+        for (r, row) in dense.iter().enumerate() {
+            for (c, &want) in row.iter().enumerate() {
+                prop_assert_eq!(m.get(r, c), want);
             }
         }
     }
@@ -61,8 +61,8 @@ proptest! {
                 if r + 1 < n { tx += off[r] * x[r + 1]; }
                 prop_assert!((tx - vals[i] * x[r]).abs() < 1e-7);
             }
-            for j in (i + 1)..n {
-                let d: f64 = x.iter().zip(&vecs[j]).map(|(a, b)| a * b).sum();
+            for (j, y) in vecs.iter().enumerate().skip(i + 1) {
+                let d: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
                 prop_assert!(d.abs() < 1e-7, "vectors {i},{j} not orthogonal: {d}");
             }
         }

@@ -1,47 +1,12 @@
-//! Heavy-edge matching coarsening.
-//!
-//! Two interchangeable matching front ends feed one contraction back end:
-//!
-//! * [`coarsen`] — the classic *sequential greedy* matching: nodes in
-//!   a seeded random order, each grabbing its best unmatched neighbor,
-//!   later nodes seeing earlier matches.
-//! * [`coarsen_sync`] — the deterministic *propose/resolve* matching
-//!   of the intra-parallel V-cycle: rounds of parallel proposals against
-//!   a frozen mate snapshot, resolved sequentially in an order ranked by
-//!   a salted seed hash (never by arrival order), so the matching is
-//!   bit-identical at every thread count.
-//!
-//! Both produce valid pairings and cut-exact levels; they generally pick
-//! *different* matchings (different algorithms), which is why the engine
-//! switches front ends only when intra-run parallelism is requested.
+//! Heavy-edge matching coarsening: a seeded, sequential greedy matching
+//! ([`coarsen`]) feeding a contraction that merges identical nets.
 
-use prop_core::prof;
-use prop_core::{map_chunks, map_chunks_with, Bipartition, ParallelPolicy, Side};
-use prop_netlist::{Hypergraph, HypergraphBuilder, NetId, NodeId};
+use prop_core::{Bipartition, Side};
+use prop_netlist::{Hypergraph, HypergraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const UNMATCHED: u32 = u32::MAX;
-
-/// Nodes per proposal chunk and nets per contraction chunk. Fixed — chunk
-/// boundaries depend only on the circuit size, never the worker count.
-const SYNC_CHUNK: usize = 4096;
-
-/// Cap on propose/resolve rounds; in practice 2–4 suffice (a round with
-/// no new pairs ends the loop early).
-const MAX_MATCH_ROUNDS: usize = 8;
-
-/// Salt separating the conflict-resolution rank stream from every other
-/// seed stream derived from the engine seed.
-const RANK_SALT: u64 = 0x6c62_272e_07bb_0142;
-
-/// Splitmix64-style finalizer (same mixer as the engine's seed streams).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One coarsening level: the coarsened circuit and the node mapping from
 /// the fine circuit it was built from. The fine circuit itself is not
@@ -206,146 +171,9 @@ pub fn coarsen(fine: &Hypergraph, max_match_net: usize, seed: u64) -> CoarseLeve
     }
 
     let (map, coarse_weight) = assign_coarse_ids(fine, &scratch.mate);
-    fill_net_records_seq(fine, &map, scratch);
+    fill_net_records(fine, &map, scratch);
     let coarse = build_from_records(coarse_weight, scratch);
     CoarseLevel { coarse, map }
-}
-
-/// The intra-parallel coarsening front end: matching by synchronous
-/// propose/resolve rounds, contraction by chunked parallel net mapping.
-///
-/// Each round, every unmatched node *proposes* its most strongly
-/// connected unmatched neighbor (same connectivity score and tie-breaks
-/// as [`coarsen`]) against a frozen snapshot of the matching —
-/// evaluated in parallel over fixed node chunks. Proposals are then
-/// *resolved* sequentially in the conflict-resolution order: nodes ranked
-/// by the salted hash `mix64(seed ⊕ RANK_SALT ⊕ node)`, ties by node id —
-/// a pure function of `(seed, node)`, never of thread scheduling. A
-/// proposal `u → v` is accepted iff both ends are still unmatched when
-/// `u`'s rank comes up. Rounds repeat until one adds no pairs.
-///
-/// The result is **bit-identical for every `policy`** (including
-/// [`ParallelPolicy::Sequential`]) because chunking only schedules the
-/// proposal evaluation; it is generally a *different* matching than
-/// [`coarsen`]'s, whose greedy scan is order-dependent by design.
-pub fn coarsen_sync(
-    fine: &Hypergraph,
-    max_match_net: usize,
-    seed: u64,
-    policy: ParallelPolicy,
-) -> CoarseLevel {
-    let scratch = &mut CoarsenScratch::default();
-    let n = fine.num_nodes();
-    let mate = &mut scratch.mate;
-    mate.resize(n, UNMATCHED);
-
-    // The deterministic conflict-resolution order: a salted-hash ranking
-    // of the node ids, fixed for the whole level.
-    let order = &mut scratch.order;
-    order.extend(0..n as u32);
-    let rank_seed = seed ^ RANK_SALT;
-    order.sort_unstable_by_key(|&u| (mix64(rank_seed ^ u64::from(u)), u));
-
-    for _ in 0..MAX_MATCH_ROUNDS {
-        // Propose (parallel, frozen snapshot): per-worker score/mark
-        // scratch sized to the level, allocated once per worker.
-        let snapshot: &[u32] = mate;
-        let proposal: Vec<u32> = map_chunks_with(
-            policy,
-            n,
-            SYNC_CHUNK,
-            || (vec![0.0f64; n], vec![u32::MAX; n]),
-            |(score, mark), _, range| {
-                range
-                    .map(|u| propose(fine, max_match_net, snapshot, score, mark, u))
-                    .collect::<Vec<u32>>()
-            },
-        )
-        .into_iter()
-        .flatten()
-        .collect();
-
-        // Resolve (sequential, rank order — cheap: one pass over n).
-        let mut new_pairs = 0usize;
-        for &u in order.iter() {
-            let u = u as usize;
-            if mate[u] != UNMATCHED {
-                continue;
-            }
-            let v = proposal[u];
-            if v == UNMATCHED || mate[v as usize] != UNMATCHED {
-                continue;
-            }
-            mate[u] = v;
-            mate[v as usize] = u as u32;
-            new_pairs += 1;
-        }
-        prof::count_match_round();
-        if new_pairs == 0 {
-            break;
-        }
-    }
-
-    let (map, coarse_weight) = assign_coarse_ids(fine, &scratch.mate);
-    fill_net_records_par(fine, &map, scratch, policy);
-    let coarse = build_from_records(coarse_weight, scratch);
-    CoarseLevel { coarse, map }
-}
-
-/// One node's proposal: its most strongly connected unmatched neighbor
-/// under the `snapshot` matching (connectivity = Σ `w/(q−1)` over shared
-/// nets of size ≤ `max_match_net`; ties to the lighter combined
-/// supernode, then the smaller index). `UNMATCHED` when `u` is matched or
-/// has no eligible neighbor. `score`/`mark` are epoch-marked worker
-/// scratch; `u` itself serves as the epoch stamp (unique per round).
-fn propose(
-    fine: &Hypergraph,
-    max_match_net: usize,
-    snapshot: &[u32],
-    score: &mut [f64],
-    mark: &mut [u32],
-    u: usize,
-) -> u32 {
-    if snapshot[u] != UNMATCHED {
-        return UNMATCHED;
-    }
-    let epoch = u as u32;
-    let u_id = NodeId::new(u);
-    let mut best: Option<(f64, usize)> = None;
-    for &net in fine.nets_of(u_id) {
-        let q = fine.net_size(net);
-        if !(2..=max_match_net).contains(&q) {
-            continue;
-        }
-        let w = fine.net_weight(net) / (q as f64 - 1.0);
-        for &x in fine.pins_of(net) {
-            let xi = x.index();
-            if xi == u || snapshot[xi] != UNMATCHED {
-                continue;
-            }
-            if mark[xi] != epoch {
-                mark[xi] = epoch;
-                score[xi] = 0.0;
-            }
-            score[xi] += w;
-            let candidate = (score[xi], xi);
-            let better = match best {
-                None => true,
-                Some((bs, bx)) => {
-                    candidate.0 > bs
-                        || (candidate.0 == bs && {
-                            let cw = fine.node_weight(x);
-                            let bw = fine.node_weight(NodeId::new(bx));
-                            cw < bw || (cw == bw && xi < bx)
-                        })
-                }
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-    }
-    best.map_or(UNMATCHED, |(_, v)| v as u32)
 }
 
 /// Assigns coarse ids from a pairing: matched pairs share one id,
@@ -371,70 +199,32 @@ fn assign_coarse_ids(fine: &Hypergraph, mate: &[u32]) -> (Vec<u32>, Vec<f64>) {
     (map, coarse_weight)
 }
 
-/// Maps one net's pins into coarse ids, appending the sorted-and-deduped
-/// pin set to `pin_buf` and its record to `net_recs`; nets that collapse
-/// inside one supernode are dropped.
-fn map_one_net(
-    fine: &Hypergraph,
-    map: &[u32],
-    net: NetId,
-    pin_buf: &mut Vec<u32>,
-    net_recs: &mut Vec<(u32, u32, f64)>,
-) {
-    let start = pin_buf.len();
-    pin_buf.extend(fine.pins_of(net).iter().map(|&v| map[v.index()]));
-    pin_buf[start..].sort_unstable();
-    let mut len = 0;
-    for i in start..pin_buf.len() {
-        if len == 0 || pin_buf[start + len - 1] != pin_buf[i] {
-            pin_buf[start + len] = pin_buf[i];
-            len += 1;
-        }
-    }
-    pin_buf.truncate(start + len);
-    if len < 2 {
-        pin_buf.truncate(start);
-        return;
-    }
-    net_recs.push((start as u32, len as u32, fine.net_weight(net)));
-}
-
-/// Coarse nets: map every pin set into coarse ids, drop nets that
-/// collapse inside one supernode. The merge of identical pin sets happens
-/// later in [`build_from_records`]; here the records are built by one
-/// sequential sweep into the flat scratch buffers — no per-net
-/// allocation, no hash map.
-fn fill_net_records_seq(fine: &Hypergraph, map: &[u32], scratch: &mut CoarsenScratch) {
+/// Coarse nets: map every pin set into coarse ids, sorted and deduped,
+/// and drop nets that collapse inside one supernode. The merge of
+/// identical pin sets happens later in [`build_from_records`]; here the
+/// records are built by one sequential sweep into the flat scratch
+/// buffers — no per-net allocation, no hash map.
+fn fill_net_records(fine: &Hypergraph, map: &[u32], scratch: &mut CoarsenScratch) {
     let pin_buf = &mut scratch.pin_buf;
-    let net_recs = &mut scratch.net_recs;
     for net in fine.nets() {
-        map_one_net(fine, map, net, pin_buf, net_recs);
-    }
-}
-
-/// The chunked-parallel variant of [`fill_net_records_seq`]: each net
-/// chunk maps into chunk-local buffers, concatenated in chunk order with
-/// an offset fixup — byte-identical buffer contents for every policy.
-fn fill_net_records_par(
-    fine: &Hypergraph,
-    map: &[u32],
-    scratch: &mut CoarsenScratch,
-    policy: ParallelPolicy,
-) {
-    let chunks = map_chunks(policy, fine.num_nets(), SYNC_CHUNK, |_, range| {
-        let mut pins: Vec<u32> = Vec::new();
-        let mut recs: Vec<(u32, u32, f64)> = Vec::new();
-        for ni in range {
-            map_one_net(fine, map, NetId::new(ni), &mut pins, &mut recs);
+        let start = pin_buf.len();
+        pin_buf.extend(fine.pins_of(net).iter().map(|&v| map[v.index()]));
+        pin_buf[start..].sort_unstable();
+        let mut len = 0;
+        for i in start..pin_buf.len() {
+            if len == 0 || pin_buf[start + len - 1] != pin_buf[i] {
+                pin_buf[start + len] = pin_buf[i];
+                len += 1;
+            }
         }
-        (pins, recs)
-    });
-    let pin_buf = &mut scratch.pin_buf;
-    let net_recs = &mut scratch.net_recs;
-    for (pins, recs) in chunks {
-        let base = pin_buf.len() as u32;
-        pin_buf.extend_from_slice(&pins);
-        net_recs.extend(recs.into_iter().map(|(s, l, w)| (s + base, l, w)));
+        pin_buf.truncate(start + len);
+        if len < 2 {
+            pin_buf.truncate(start);
+            continue;
+        }
+        scratch
+            .net_recs
+            .push((start as u32, len as u32, fine.net_weight(net)));
     }
 }
 
@@ -576,7 +366,7 @@ mod tests {
 
     #[test]
     fn merged_nets_sum_their_weights() {
-        // Doubled intra-pair nets dominate the connectivity scores, so
+        // Doubled within-pair nets dominate the connectivity scores, so
         // every visit order matches (0,1) and (2,3). The two parallel
         // cross nets then collapse into one coarse net of summed weight.
         let mut b = HypergraphBuilder::new(4);
@@ -595,57 +385,6 @@ mod tests {
             assert_eq!(level.coarse.num_nets(), 1);
             assert!((level.coarse.total_net_weight() - 2.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn sync_matching_is_policy_independent() {
-        let g = circuit(14);
-        let baseline = coarsen_sync(&g, 32, 7, ParallelPolicy::Sequential);
-        for policy in [
-            ParallelPolicy::Threads(1),
-            ParallelPolicy::Threads(2),
-            ParallelPolicy::Threads(4),
-            ParallelPolicy::Auto,
-        ] {
-            let level = coarsen_sync(&g, 32, 7, policy);
-            assert_eq!(level.coarse, baseline.coarse, "{policy:?}");
-            assert_eq!(level.map, baseline.map, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn sync_matching_is_a_valid_cut_exact_pairing() {
-        let g = circuit(15);
-        let level = coarsen_sync(&g, 32, 3, ParallelPolicy::Threads(2));
-        assert!(level.coarse.num_nodes() < g.num_nodes());
-        assert!(
-            (level.coarse.total_node_weight() - g.total_node_weight()).abs() < 1e-9,
-            "node weight must be conserved"
-        );
-        let mut count = vec![0usize; level.coarse.num_nodes()];
-        for v in g.nodes() {
-            count[level.coarse_of(v).index()] += 1;
-        }
-        assert!(count.iter().all(|&c| (1..=2).contains(&c)));
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..5 {
-            let coarse_part = Bipartition::random(level.coarse.num_nodes(), &mut rng);
-            let coarse_cut = CutState::new(&level.coarse, &coarse_part).cut_cost();
-            let fine_cut = CutState::new(&g, &level.project(&coarse_part)).cut_cost();
-            assert!((coarse_cut - fine_cut).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sync_matching_is_deterministic_in_seed() {
-        let g = circuit(16);
-        let a = coarsen_sync(&g, 32, 5, ParallelPolicy::Threads(2));
-        let b = coarsen_sync(&g, 32, 5, ParallelPolicy::Threads(2));
-        assert_eq!(a.coarse, b.coarse);
-        assert_eq!(a.map, b.map);
-        // Different rank seed, almost surely a different resolution order.
-        let c = coarsen_sync(&g, 32, 6, ParallelPolicy::Threads(2));
-        assert_ne!(a.coarse, c.coarse);
     }
 
     #[test]

@@ -41,18 +41,13 @@
 //! bisections are identical for every `coarsest_starts ≥ k`
 //! (prefix-stable, pinned by `tests/multilevel_vcycle.rs`).
 //!
-//! # Intra-run parallelism
+//! # Parallelism
 //!
-//! [`MultilevelConfig::intra`] parallelizes the inside of a *single*
-//! V-cycle — the production case of one large job — deterministically:
-//! coarsening switches to propose/resolve matching
-//! ([`coarsen::coarsen_sync`]) and refinement to synchronous rounds
-//! ([`prop_fm::SyncRoundFm`]), both built on the fixed-chunk
-//! [`prop_core::map_chunks`] grid whose results are independent of the
-//! worker count by construction. `Threads(1)`, `Threads(2)`,
-//! `Threads(4)`, and `Auto` return bit-identical partitions; only the
-//! wall clock changes. The default `Sequential` keeps the classic
-//! sequential algorithms (and their pinned golden cuts) untouched.
+//! One V-cycle runs on one thread. Multi-CPU speed comes from around it,
+//! deterministically: the best-of-R harness fans runs out over workers,
+//! the k-way driver runs sibling subtrees concurrently, and the daemon
+//! cluster shards sweeps over machines. Every one of them returns the
+//! same bits at every worker count.
 //!
 //! # Cancellation
 //!
@@ -83,7 +78,7 @@
 
 pub mod coarsen;
 
-use coarsen::{coarsen, coarsen_sync, CoarseLevel};
+use coarsen::{coarsen, CoarseLevel};
 use prop_core::prof::{self, Phase};
 use prop_core::{
     cancel, BalanceConstraint, Bipartition, CutState, GlobalPartitioner, ImproveStats,
@@ -139,24 +134,16 @@ pub struct MultilevelConfig {
     pub polish_passes: usize,
     /// Seed for matching orders and initial bisections.
     pub seed: u64,
-    /// Intra-run worker policy. [`ParallelPolicy::Sequential`] (the
-    /// default) runs the classic sequential V-cycle. Any other policy
-    /// switches the [`standard`] engine to its *deterministic
-    /// intra-parallel* algorithms — propose/resolve matching
-    /// ([`coarsen::coarsen_sync`]) and synchronous-round refinement
-    /// ([`prop_fm::SyncRoundFm`]) — whose results are bit-identical for
-    /// every worker count (`Threads(1)`, `Threads(4)`, and `Auto` all
-    /// agree); the policy then only sets how wide the fixed chunk grid is
-    /// executed. The two modes are different algorithms and generally
-    /// produce different (same-quality-class) partitions.
-    ///
-    /// [`standard`]: Multilevel::standard
+    /// Has no effect: nothing reads it, and every value runs the same
+    /// sequential V-cycle. It once selected a synchronous intra-run
+    /// parallel V-cycle, which was deleted (DESIGN §13); the field stays
+    /// only so that code setting it keeps compiling, and goes in a later
+    /// release.
     pub intra: ParallelPolicy,
     /// Flow-based corridor refinement run by the [`standard`] engine
     /// after move-based refinement at each level (disabled by default,
     /// which keeps the engine byte-identical to the classic V-cycle).
-    /// The pass is deterministic and RNG-free, so enabling it preserves
-    /// worker-count invariance in intra mode.
+    /// The pass is deterministic and RNG-free.
     ///
     /// [`standard`]: Multilevel::standard
     pub flow: FlowConfig,
@@ -178,12 +165,6 @@ impl Default for MultilevelConfig {
             flow: FlowConfig::default(),
         }
     }
-}
-
-/// Whether a policy engages the intra-parallel (synchronous-round)
-/// algorithms: everything except [`ParallelPolicy::Sequential`].
-fn intra_engaged(policy: ParallelPolicy) -> bool {
-    !matches!(policy, ParallelPolicy::Sequential)
 }
 
 /// The stall limit of every FM pass [`MlRefiner`] runs: a pass stops once
@@ -263,17 +244,13 @@ pub struct MlRefiner {
     polish_passes: usize,
     fm_capped: prop_fm::FmBucket,
     fm_full: prop_fm::FmBucket,
-    sync_capped: prop_fm::SyncRoundFm,
-    sync_full: prop_fm::SyncRoundFm,
-    intra: bool,
     fm_converge_nodes: usize,
     flow: FlowConfig,
 }
 
 impl MlRefiner {
     /// Builds the refiner from the tuning knobs of `config`
-    /// (`refine_passes`, `fm_converge_nodes`, `polish_passes`, `intra`,
-    /// `flow`).
+    /// (`refine_passes`, `fm_converge_nodes`, `polish_passes`, `flow`).
     pub fn new(config: &MultilevelConfig) -> Self {
         let passes = config.refine_passes.max(1);
         let fm_full = prop_fm::FmBucket {
@@ -291,16 +268,6 @@ impl MlRefiner {
                 ..fm_full
             },
             fm_full,
-            sync_capped: prop_fm::SyncRoundFm {
-                max_rounds: passes,
-                policy: config.intra,
-                ..prop_fm::SyncRoundFm::default()
-            },
-            sync_full: prop_fm::SyncRoundFm {
-                policy: config.intra,
-                ..prop_fm::SyncRoundFm::default()
-            },
-            intra: intra_engaged(config.intra),
             fm_converge_nodes: config.fm_converge_nodes,
             flow: config.flow,
         }
@@ -316,11 +283,7 @@ impl MlRefiner {
     ) -> ImproveStats {
         let n = graph.num_nodes();
         if graph.has_unit_weights() && graph.has_unit_node_weights() {
-            let fm = if self.intra {
-                self.sync_full.improve(graph, partition, balance)
-            } else {
-                self.fm_full.improve(graph, partition, balance)
-            };
+            let fm = self.fm_full.improve(graph, partition, balance);
             if self.polish_passes == 0 {
                 return fm;
             }
@@ -330,14 +293,10 @@ impl MlRefiner {
                 cut_cost: polish.cut_cost,
             };
         }
-        let capped = n > self.fm_converge_nodes;
-        // Synchronous rounds work for arbitrary weights and collect
-        // candidates in parallel under the configured intra policy.
-        match (self.intra, capped) {
-            (true, true) => self.sync_capped.improve(graph, partition, balance),
-            (true, false) => self.sync_full.improve(graph, partition, balance),
-            (false, true) => self.fm_capped.improve(graph, partition, balance),
-            (false, false) => self.fm_full.improve(graph, partition, balance),
+        if n > self.fm_converge_nodes {
+            self.fm_capped.improve(graph, partition, balance)
+        } else {
+            self.fm_full.improve(graph, partition, balance)
         }
     }
 }
@@ -435,11 +394,7 @@ impl<P: Partitioner> Multilevel<P> {
             }
             let tick = prof::start();
             let level_seed = stream_seed(seed, SeedStream::Matching, built as u64);
-            let level = if intra_engaged(cfg.intra) {
-                coarsen_sync(fine, cfg.max_match_net, level_seed, cfg.intra)
-            } else {
-                coarsen(fine, cfg.max_match_net, level_seed)
-            };
+            let level = coarsen(fine, cfg.max_match_net, level_seed);
             prof::stop(Phase::MlCoarsen, tick);
             prof::count_ml_level();
             // A stalled matching (degenerate circuit) would loop forever.
@@ -862,58 +817,6 @@ mod tests {
         assert_eq!(result.run_cuts.len(), 4);
         let best = result.run_cuts.iter().copied().fold(f64::INFINITY, f64::min);
         assert_eq!(result.cut_cost, best);
-    }
-
-    #[test]
-    fn intra_policies_are_bit_identical() {
-        let graph = circuit(500, 33);
-        let balance = BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).unwrap();
-        let engine = |policy| {
-            Multilevel::standard(MultilevelConfig {
-                intra: policy,
-                seed: 5,
-                ..MultilevelConfig::default()
-            })
-        };
-        let baseline = engine(ParallelPolicy::Threads(1))
-            .run_multi(&graph, balance, 2, 9)
-            .unwrap();
-        assert!(baseline.partition.is_balanced(balance));
-        assert_eq!(
-            baseline.cut_cost,
-            CutState::new(&graph, &baseline.partition).cut_cost()
-        );
-        for policy in [
-            ParallelPolicy::Threads(2),
-            ParallelPolicy::Threads(4),
-            ParallelPolicy::Auto,
-        ] {
-            let got = engine(policy).run_multi(&graph, balance, 2, 9).unwrap();
-            assert_eq!(got, baseline, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn intra_quality_is_in_the_sequential_class() {
-        // Different algorithm, same quality class: the intra engine must
-        // land within a modest factor of the classic sequential cut.
-        let graph = circuit(600, 8);
-        let balance = BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).unwrap();
-        let classic = Multilevel::standard(MultilevelConfig::default())
-            .run_multi(&graph, balance, 2, 3)
-            .unwrap();
-        let intra = Multilevel::standard(MultilevelConfig {
-            intra: ParallelPolicy::Threads(2),
-            ..MultilevelConfig::default()
-        })
-        .run_multi(&graph, balance, 2, 3)
-        .unwrap();
-        assert!(
-            intra.cut_cost <= classic.cut_cost * 1.25 + 4.0,
-            "intra {} vs classic {}",
-            intra.cut_cost,
-            classic.cut_cost
-        );
     }
 
     #[test]

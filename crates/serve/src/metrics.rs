@@ -238,7 +238,7 @@ mod tests {
     fn stats_prof_lists_every_counter() {
         let m = Metrics::new();
         let snapshot = ProfSnapshot {
-            sync_rounds: 3,
+            flow_corridors: 3,
             flow_accepted: 2,
             ..ProfSnapshot::default()
         };

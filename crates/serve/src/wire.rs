@@ -7,7 +7,7 @@
 //! one line of minimal JSON (see [`crate::json`]).
 //!
 //! ```text
-//! submit engine=prop runs=4 seed=7 r1=0.45 r2=0.55 timeout_ms=0 priority=0 wait=1 ml_coarsest=120 ml_starts=8 ml_max_net=8 ml_refine_passes=1 ml_polish=1 ml_threads=0 ml_flow=0 ml_flow_corridor=3000 fmt=hgr payload=8%0A1%202%0A...
+//! submit engine=prop runs=4 seed=7 r1=0.45 r2=0.55 timeout_ms=0 priority=0 wait=1 ml_coarsest=120 ml_starts=8 ml_max_net=8 ml_refine_passes=1 ml_polish=1 ml_flow=0 ml_flow_corridor=3000 fmt=hgr payload=8%0A1%202%0A...
 //! submit engine=ml runs=8 seed=7 circuit_id=golem4 wait=1
 //! upload circuit=golem4 fmt=hgb payload=%50%52...
 //! upload circuit=golem4 fmt=hgr path=%2Fdata%2Fgolem4.hgr
@@ -162,11 +162,6 @@ pub struct SubmitRequest {
     pub ml_refine_passes: usize,
     /// Multilevel knob: PROP polish passes at unit-weight levels.
     pub ml_polish: usize,
-    /// Multilevel knob: intra-run worker threads per V-cycle. `0` (the
-    /// default) keeps the classic sequential engine; `n >= 1` engages the
-    /// deterministic intra-parallel algorithms with `n` workers — the
-    /// result is bit-identical for every `n >= 1`.
-    pub ml_threads: usize,
     /// Multilevel knob: `1` enables flow-based corridor refinement after
     /// each level's move passes (`0` = off, the default).
     pub ml_flow: u8,
@@ -201,7 +196,6 @@ impl Default for SubmitRequest {
             ml_max_net: ml.max_match_net,
             ml_refine_passes: ml.refine_passes,
             ml_polish: ml.polish_passes,
-            ml_threads: 0,
             ml_flow: 0,
             ml_flow_corridor: ml.flow.corridor_nodes,
             k: 2,
@@ -229,7 +223,7 @@ impl SubmitRequest {
         format!(
             "submit engine={} runs={} seed={} r1={} r2={} timeout_ms={} priority={} wait={} \
              ml_coarsest={} ml_starts={} ml_max_net={} ml_refine_passes={} ml_polish={} \
-             ml_threads={} ml_flow={} ml_flow_corridor={} k={}{budgets} fmt={} {source}",
+             ml_flow={} ml_flow_corridor={} k={}{budgets} fmt={} {source}",
             self.engine,
             self.runs,
             self.seed,
@@ -243,7 +237,6 @@ impl SubmitRequest {
             self.ml_max_net,
             self.ml_refine_passes,
             self.ml_polish,
-            self.ml_threads,
             self.ml_flow,
             self.ml_flow_corridor,
             self.k,
@@ -260,10 +253,6 @@ impl SubmitRequest {
             max_match_net: self.ml_max_net,
             refine_passes: self.ml_refine_passes,
             polish_passes: self.ml_polish,
-            intra: match self.ml_threads {
-                0 => prop_core::ParallelPolicy::Sequential,
-                n => prop_core::ParallelPolicy::Threads(n),
-            },
             flow: prop_multilevel::FlowConfig {
                 enabled: self.ml_flow != 0,
                 corridor_nodes: self.ml_flow_corridor,
@@ -588,7 +577,6 @@ fn parse_submit(fields: &[(&str, &str)]) -> Result<SubmitRequest, WireError> {
             "ml_max_net" => req.ml_max_net = val(k, v)?,
             "ml_refine_passes" => req.ml_refine_passes = val(k, v)?,
             "ml_polish" => req.ml_polish = val(k, v)?,
-            "ml_threads" => req.ml_threads = val(k, v)?,
             "ml_flow" => req.ml_flow = val(k, v)?,
             "ml_flow_corridor" => req.ml_flow_corridor = val(k, v)?,
             "k" => req.k = val(k, v)?,
@@ -683,7 +671,6 @@ mod tests {
             ml_max_net: 12,
             ml_refine_passes: 2,
             ml_polish: 0,
-            ml_threads: 4,
             ml_flow: 1,
             ml_flow_corridor: 800,
             k: 2,
@@ -807,14 +794,6 @@ mod tests {
         let cfg = req.ml_config();
         assert_eq!(cfg.coarsest_nodes, 50);
         assert_eq!(cfg.coarsest_starts, 3);
-        assert_eq!(cfg.intra, prop_core::ParallelPolicy::Sequential);
-
-        // ml_threads switches the engine to the intra-parallel V-cycle.
-        let parsed = parse_request("submit engine=ml ml_threads=2 payload=abc").unwrap();
-        let Request::Submit(req) = parsed else {
-            panic!("expected submit")
-        };
-        assert_eq!(req.ml_config().intra, prop_core::ParallelPolicy::Threads(2));
 
         // ml_flow enables the corridor-flow pass; the corridor knob
         // passes through.
@@ -827,6 +806,16 @@ mod tests {
         assert!(cfg.flow.enabled);
         assert_eq!(cfg.flow.corridor_nodes, 250);
         assert!(parse_request("submit ml_starts=x payload=abc").is_err());
+    }
+
+    #[test]
+    fn removed_ml_threads_field_is_refused() {
+        // Every V-cycle runs on one thread; the old worker knob is an
+        // unknown field like any other.
+        assert_eq!(
+            parse_request("submit engine=ml ml_threads=2 payload=abc"),
+            Err(WireError::Malformed("unknown field \"ml_threads\"".into()))
+        );
     }
 
     #[test]

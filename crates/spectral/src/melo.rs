@@ -137,8 +137,10 @@ mod tests {
     fn single_vector_configuration() {
         let g = generate(&GeneratorConfig::new(40, 48, 160).with_seed(14)).unwrap();
         let balance = BalanceConstraint::bisection(40);
-        let mut m = MeloStyle::default();
-        m.num_vectors = 1;
+        let m = MeloStyle {
+            num_vectors: 1,
+            ..MeloStyle::default()
+        };
         let res = m.partition(&g, balance).unwrap();
         assert_eq!(res.run_cuts.len(), 1);
     }

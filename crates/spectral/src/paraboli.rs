@@ -200,8 +200,10 @@ mod tests {
     fn polish_never_hurts() {
         let g = generate(&GeneratorConfig::new(100, 110, 370).with_seed(20)).unwrap();
         let balance = BalanceConstraint::new(0.45, 0.55, 100).unwrap();
-        let mut raw = ParaboliStyle::default();
-        raw.fm_polish = false;
+        let raw = ParaboliStyle {
+            fm_polish: false,
+            ..ParaboliStyle::default()
+        };
         let unpolished = raw.partition(&g, balance).unwrap();
         let polished = ParaboliStyle::default().partition(&g, balance).unwrap();
         assert!(polished.cut_cost <= unpolished.cut_cost + 1e-9);

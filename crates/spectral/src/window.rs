@@ -89,8 +89,10 @@ mod tests {
     fn produces_balanced_partitions() {
         let g = generate(&GeneratorConfig::new(90, 100, 330).with_seed(2)).unwrap();
         let balance = BalanceConstraint::bisection(90);
-        let mut w = WindowStyle::default();
-        w.runs = 5;
+        let w = WindowStyle {
+            runs: 5,
+            ..WindowStyle::default()
+        };
         let res = w.partition(&g, balance).unwrap();
         assert!(res.partition.is_balanced(balance));
         assert_eq!(res.cut_cost, cut_cost(&g, &res.partition));

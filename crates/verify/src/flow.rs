@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn reference_handles_disconnection_and_degenerate_terminals() {
         assert_eq!(reference_max_flow(3, &[(0, 1, 4.0)], 0, 2), 0.0);
-        assert_eq!(reference_max_flow(3, &diamond()[..1].to_vec(), 0, 0), 0.0);
+        assert_eq!(reference_max_flow(3, &diamond()[..1], 0, 0), 0.0);
     }
 
     #[test]

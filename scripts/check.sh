@@ -2,7 +2,8 @@
 # Tier-1 verification gate: build, test, lint. Run from the repo root.
 #
 #   scripts/check.sh                # tier-1 gates only (build, root and
-#                                   # CLI crate tests, clippy, and a build
+#                                   # CLI crate tests, clippy over every
+#                                   # target (tests included), and a build
 #                                   # of benchmark/ and benchmark/trace/
 #                                   # plus bench's own unit tests)
 #   scripts/check.sh --audit        # also run the debug-audit (oracle) gates
@@ -26,8 +27,8 @@
 #   scripts/check.sh --ml           # also run the multilevel smoke gate:
 #                                   # one ml-only quick benchmark pass whose
 #                                   # cuts the oracle recounts, the ml CLI
-#                                   # path at intra worker counts 1 and 2,
-#                                   # which must print identical results,
+#                                   # path at --threads 1 and 2, which
+#                                   # must print identical results,
 #                                   # and one golem3 V-cycle (--runs 1
 #                                   # --seed 0) whose result line and
 #                                   # --assign cksum must equal pinned
@@ -36,7 +37,7 @@
 #                                   # at default settings; plus the prof
 #                                   # test that discarded V-cycles are
 #                                   # counted
-#   scripts/check.sh --par          # also run the intra-run determinism
+#   scripts/check.sh --par          # also run the parallel-run determinism
 #                                   # gate: ml at --threads 1 vs --threads 2
 #                                   # must agree on the result line AND the
 #                                   # full node assignment (diffed file)
@@ -55,11 +56,9 @@
 #                                   # must be byte-identical at the
 #                                   # default and --threads 1, the 2-way
 #                                   # default-vs-sequential check (p2
-#                                   # --runs 4 --assign files of prop and
-#                                   # fm byte-identical at the default and
-#                                   # --threads 1, and ml's default
-#                                   # byte-identical to the classic
-#                                   # --ml-threads 0), and a
+#                                   # --runs 4 --assign files of prop, fm
+#                                   # and ml byte-identical at the default
+#                                   # and --threads 1), and a
 #                                   # daemon round-trip whose
 #                                   # k=4 submit twice in a row must be
 #                                   # bit-identical (cut + connectivity +
@@ -112,7 +111,7 @@ cargo test -q
 # The CLI crate's own tests, including the closed-stdout test that spawns
 # the built `prop`.
 cargo test -q -p prop-cli
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark is two workspaces of its own with path dependencies on
 # crates/: build both and run bench's unit tests, so an API or CLI change
 # that breaks the benchmark fails here rather than in a benchmark run.
@@ -195,11 +194,8 @@ if [[ "$ml" -eq 1 ]]; then
   # secs_per_run regression against the committed ML rows.
   cargo run --release -q -p prop-experiments --bin bench_snapshot -- \
     --quick --method ML --compare BENCH_prop.json
-  # Then the CLI path. For ml, --threads N engages the deterministic
-  # intra-parallel V-cycle with N workers (it is a different algorithm
-  # than the sequential engine, so --threads 1 — not the flag's absence —
-  # is the comparison baseline): worker counts 1 and 2 must print the
-  # identical result line.
+  # Then the CLI path: the best-of-R V-cycles fanned out over 1 and 2
+  # threads must print the identical result line.
   ml_dir="$(mktemp -d)"
   trap 'rm -rf "$ml_dir"' EXIT
   ./target/release/prop generate --circuit struct --out "$ml_dir/struct.hgr" >/dev/null
@@ -207,7 +203,7 @@ if [[ "$ml" -eq 1 ]]; then
   two_line="$(./target/release/prop partition "$ml_dir/struct.hgr" --method ml --runs 4 --threads 2)"
   echo "$one_line"
   if [[ "$one_line" != "$two_line" ]]; then
-    echo "check.sh: ml CLI diverged across intra worker counts" >&2
+    echo "check.sh: ml CLI diverged across thread counts" >&2
     echo "  threads=1: $one_line" >&2
     echo "  threads=2: $two_line" >&2
     exit 1
@@ -231,10 +227,10 @@ if [[ "$ml" -eq 1 ]]; then
 fi
 
 if [[ "$par" -eq 1 ]]; then
-  # Intra-run determinism gate: the ml engine at 1 vs 2 intra workers on
-  # a generated circuit must agree on the printed cut line and on every
-  # node's side (the --assign files are diffed byte-for-byte, a stronger
-  # check than the cut alone).
+  # Parallel-run determinism gate: the ml engine's best-of-R runs on 1 vs
+  # 2 threads on a generated circuit must agree on the printed cut line
+  # and on every node's side (the --assign files are diffed
+  # byte-for-byte, a stronger check than the cut alone).
   par_dir="$(mktemp -d)"
   trap 'rm -rf "$par_dir"' EXIT
   ./target/release/prop generate --circuit struct --out "$par_dir/struct.hgr" >/dev/null
@@ -246,17 +242,17 @@ if [[ "$par" -eq 1 ]]; then
   t2_line="${t2_out%%$'\n'*}"
   echo "$t1_line"
   if [[ "$t1_line" != "$t2_line" ]]; then
-    echo "check.sh: intra-parallel ml cut diverged across worker counts" >&2
+    echo "check.sh: parallel ml runs diverged in the cut across thread counts" >&2
     echo "  threads=1: $t1_line" >&2
     echo "  threads=2: $t2_line" >&2
     exit 1
   fi
   if ! diff -q "$par_dir/assign_t1.txt" "$par_dir/assign_t2.txt" >/dev/null; then
-    echo "check.sh: intra-parallel ml assignment diverged across worker counts" >&2
+    echo "check.sh: parallel ml runs diverged in the assignment across thread counts" >&2
     diff "$par_dir/assign_t1.txt" "$par_dir/assign_t2.txt" | head -n 5 >&2
     exit 1
   fi
-  echo "check.sh: intra-parallel determinism gate passed (cut + assignment identical)"
+  echo "check.sh: parallel-run determinism gate passed (cut + assignment identical)"
 fi
 
 if [[ "$flow" -eq 1 ]]; then
@@ -444,9 +440,8 @@ if [[ "$kway" -eq 1 ]]; then
   echo "check.sh: p2 k=8 assignment identical at the default and --threads 1"
 
   # The 2-way default: best-of-R runs on every CPU must write the same
-  # assignment as one run at a time, and ml's default must stay the
-  # classic V-cycle (--ml-threads 0), not the synchronous one.
-  for method in prop fm; do
+  # assignment as one run at a time, for every engine kind.
+  for method in prop fm ml; do
     ./target/release/prop partition "$kway_dir/p2.hgr" --method "$method" --runs 4 --assign "$kway_dir/p2.$method.auto" >/dev/null
     ./target/release/prop partition "$kway_dir/p2.hgr" --method "$method" --runs 4 --threads 1 --assign "$kway_dir/p2.$method.t1" >/dev/null
     if ! cmp -s "$kway_dir/p2.$method.auto" "$kway_dir/p2.$method.t1"; then
@@ -454,13 +449,7 @@ if [[ "$kway" -eq 1 ]]; then
       exit 1
     fi
   done
-  ./target/release/prop partition "$kway_dir/p2.hgr" --method ml --runs 2 --assign "$kway_dir/p2.ml.auto" >/dev/null
-  ./target/release/prop partition "$kway_dir/p2.hgr" --method ml --runs 2 --ml-threads 0 --assign "$kway_dir/p2.ml.classic" >/dev/null
-  if ! cmp -s "$kway_dir/p2.ml.auto" "$kway_dir/p2.ml.classic"; then
-    echo "check.sh: 2-way ml default differs from the classic V-cycle (--ml-threads 0)" >&2
-    exit 1
-  fi
-  echo "check.sh: p2 2-way assignments identical at the default and --threads 1 (prop, fm) and --ml-threads 0 (ml)"
+  echo "check.sh: p2 2-way assignments identical at the default and --threads 1 (prop, fm, ml)"
 
   # The daemon surface: the same k=4 job submitted twice over the wire
   # must be bit-identical in every k-way result field.

@@ -159,8 +159,10 @@ fn selection_backends_match_each_other_and_the_reference() {
             .run_seeded(&g, balance, seed)
             .unwrap();
         for backend in BACKENDS {
-            let mut cfg = PropConfig::default();
-            cfg.selection = backend;
+            let cfg = PropConfig {
+                selection: backend,
+                ..PropConfig::default()
+            };
             let a = Prop::new(cfg).run_seeded(&g, balance, seed).unwrap();
             assert_eq!(a, reference, "seed {seed}, backend {backend:?}");
         }

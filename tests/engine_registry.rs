@@ -5,8 +5,8 @@
 //! `run_kway`) and a live daemon must agree bit for bit at k = 2 and at
 //! k = 4 uniform. Every one-shot global name is refused by the daemon and
 //! by the k-way path with a typed error, and an unknown name by every
-//! surface. The CLI runs at its default thread policy, and every flat
-//! engine also at `--threads 1`, which must change nothing.
+//! surface. The CLI runs every engine at its default thread policy and
+//! at `--threads 1` and `2`, which must change nothing.
 
 use prop_cli::{run_kway, run_method};
 use prop_core::{partition_kway, BalanceConstraint, KwayConfig};
@@ -19,17 +19,9 @@ use prop_serve::{engine, server, Client, Json, ServerConfig, SubmitRequest};
 const RUNS: usize = 2;
 const SEED: u64 = 17;
 
-/// The `--threads` settings each engine must agree at: the default for
-/// every engine, plus `--threads 1` for the flat ones. For `ml` any
-/// `--threads` selects the intra-parallel V-cycle, a different algorithm
-/// than the library's classic default.
-fn cli_threads(name: EngineName) -> &'static [Option<usize>] {
-    if name == EngineName::Ml {
-        &[None]
-    } else {
-        &[None, Some(1)]
-    }
-}
+/// The `--threads` settings every engine must agree at: the default (every
+/// CPU), one thread, and two.
+const CLI_THREADS: [Option<usize>; 3] = [None, Some(1), Some(2)];
 
 fn submit(client: &mut Client, engine: &str, payload: &str, k: usize) -> Json {
     client
@@ -85,8 +77,7 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
     }
 
     for name in iterative {
-        // `EngineSpec::new` is the library's default: for `ml`, the
-        // classic V-cycle.
+        // `EngineSpec::new` is the library's default.
         let library = EngineSpec::new(name)
             .build(SEED, RUNS)
             .iterative()
@@ -99,7 +90,7 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
             direct.run_cuts.clone(),
             engine::assignment_hash(direct.partition.sides()),
         );
-        for &threads in cli_threads(name) {
+        for threads in CLI_THREADS {
             let cli = run_method(name.as_str(), &graph, balance, RUNS, SEED, threads).unwrap();
             let cli = (
                 cli.cut_cost,
@@ -143,7 +134,7 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
             direct.connectivity_cost(&graph),
             engine::kway_assignment_hash(direct.assignment()),
         );
-        for &threads in cli_threads(name) {
+        for threads in CLI_THREADS {
             let cli = run_kway(
                 name.as_str(),
                 &graph,

@@ -27,11 +27,8 @@ fn prop() -> Prop {
     Prop::new(PropConfig::calibrated())
 }
 
-fn ml(intra: ParallelPolicy) -> Multilevel<MlRefiner> {
-    Multilevel::standard(MultilevelConfig {
-        intra,
-        ..MultilevelConfig::default()
-    })
+fn ml() -> Multilevel<MlRefiner> {
+    Multilevel::standard(MultilevelConfig::default())
 }
 
 /// Assignment validity + bit-exact oracle agreement on both objectives
@@ -114,35 +111,6 @@ fn kway_is_bit_identical_across_run_harness_thread_counts() {
     }
 }
 
-#[test]
-fn multilevel_kway_is_bit_identical_across_intra_worker_counts() {
-    let graph = circuit(400, 24);
-    let reference = partition_kway(
-        &graph,
-        &ml(ParallelPolicy::Threads(1)),
-        &KwayConfig {
-            runs: 2,
-            seed: 3,
-            ..KwayConfig::new(4)
-        },
-    )
-    .unwrap();
-    assert_oracle_exact(&graph, &reference.partition, 4);
-    for workers in [2usize, 4] {
-        let report = partition_kway(
-            &graph,
-            &ml(ParallelPolicy::Threads(workers)),
-            &KwayConfig {
-                runs: 2,
-                seed: 3,
-                ..KwayConfig::new(4)
-            },
-        )
-        .unwrap();
-        assert_eq!(report, reference, "intra workers = {workers}");
-    }
-}
-
 /// The driver's policies: sequential, fixed budgets that split evenly
 /// and unevenly between sibling subtrees, and every CPU.
 const POLICIES: [ParallelPolicy; 4] = [
@@ -155,10 +123,8 @@ const POLICIES: [ParallelPolicy; 4] = [
 #[test]
 fn kway_is_bit_identical_across_subtree_policies() {
     let graph = circuit(400, 30);
-    let engines: [(&str, Box<dyn Partitioner>); 2] = [
-        ("prop", Box::new(prop())),
-        ("ml", Box::new(ml(ParallelPolicy::Sequential))),
-    ];
+    let engines: [(&str, Box<dyn Partitioner>); 2] =
+        [("prop", Box::new(prop())), ("ml", Box::new(ml()))];
     let cases: [(usize, Option<Vec<f64>>); 4] = [
         (3, None),
         (5, None),
@@ -265,7 +231,7 @@ fn prof_counters_are_policy_independent() {
             policy,
             ..KwayConfig::new(4)
         };
-        partition_kway(&graph, &ml(ParallelPolicy::Sequential), &config).unwrap();
+        partition_kway(&graph, &ml(), &config).unwrap();
         let s = prof::snapshot();
         prof::reset();
         [s.ml_levels, s.moves, s.net_recomputes, s.gain_recomputes]
@@ -278,10 +244,7 @@ fn prof_counters_are_policy_independent() {
 #[test]
 fn k_equals_two_reduces_to_the_existing_bipartition_path() {
     let graph = circuit(220, 25);
-    for engine in [
-        Box::new(prop()) as Box<dyn Partitioner>,
-        Box::new(ml(ParallelPolicy::Sequential)),
-    ] {
+    for engine in [Box::new(prop()) as Box<dyn Partitioner>, Box::new(ml())] {
         let config = KwayConfig {
             runs: 3,
             seed: 19,
