@@ -37,12 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use prop_core::{
-    partition_kway, BalanceConstraint, KwayConfig, KwayPartition, KwayReport, ParallelPolicy,
-    RunResult, Side,
-};
-use prop_engines::{Engine, EngineName, EngineSpec};
-use prop_multilevel::MultilevelConfig;
+use prop_core::{CancelToken, KwayPartition, ParallelPolicy, RunResult, Side};
+use prop_engines::{EngineName, Job, JobReport, UnknownEngine};
 use prop_netlist::{format, generate, hgb, suite, Hypergraph};
 use prop_serve::{BatchRequest, Client, ConnectRetry, Json, SubmitRequest, UploadRequest};
 use std::fmt;
@@ -136,16 +132,9 @@ pub enum Command {
     Partition {
         /// Netlist path.
         file: String,
-        /// Method name.
-        method: String,
-        /// Balance ratios.
-        r1: f64,
-        /// Balance ratios.
-        r2: f64,
-        /// Runs for iterative methods.
-        runs: usize,
-        /// Base seed.
-        seed: u64,
+        /// The job: `--method`, `--r1`/`--r2`, `--runs`, `--seed`, the
+        /// `--ml-*` knobs, `--k` and `--budgets`.
+        job: Job,
         /// `--threads`, resolved by [`resolve_threads`]: the runs (and
         /// k-way subtrees) use every CPU when `None` or `Some(0)`, at most
         /// `n` with `Some(n)`. The result is bit-identical for every
@@ -153,15 +142,6 @@ pub enum Command {
         threads: Option<usize>,
         /// Optional path for the node→side assignment output.
         assign: Option<String>,
-        /// Multilevel knobs (`--ml-*`, used by the `ml` method; the
-        /// engine seed comes from `seed`).
-        ml: MultilevelConfig,
-        /// Number of parts; `2` (the default) runs the classic
-        /// bipartition path, anything else the recursive k-way driver.
-        k: usize,
-        /// Per-part area budgets (`--budgets`); routes through the k-way
-        /// driver even at `k = 2`.
-        budgets: Option<Vec<f64>>,
     },
     /// `prop serve ...`
     Serve {
@@ -191,30 +171,17 @@ pub enum Command {
         circuit_id: Option<String>,
         /// Daemon address.
         addr: String,
-        /// Engine name: any iterative partition method (the daemon
-        /// serves every iterative engine, not the one-shot global ones).
-        engine: String,
-        /// Multi-start runs.
-        runs: usize,
-        /// Base seed.
-        seed: u64,
-        /// Balance ratios.
-        r1: f64,
-        /// Balance ratios.
-        r2: f64,
+        /// The job, parsed by the same flags as `partition`'s (with
+        /// `--engine` for `--method`) and forwarded on the wire. The
+        /// daemon serves every iterative engine, not the one-shot global
+        /// ones.
+        job: Job,
         /// Job deadline in milliseconds (0 = none).
         timeout_ms: u64,
         /// Scheduling priority (0–3, higher first).
         priority: u8,
         /// When `false`, block until the job is terminal.
         no_wait: bool,
-        /// Multilevel knobs (`--ml-*`, forwarded on the wire for the
-        /// `ml` engine).
-        ml: MultilevelConfig,
-        /// Number of parts (`--k`, default 2 = classic bipartition).
-        k: usize,
-        /// Per-part area budgets (`--budgets`), forwarded on the wire.
-        budgets: Option<Vec<f64>>,
     },
     /// `prop batch --circuit-id ID ...`
     Batch {
@@ -223,7 +190,7 @@ pub enum Command {
         /// Coordinator address.
         addr: String,
         /// Engines dimension of the sweep.
-        engines: Vec<String>,
+        engines: Vec<EngineName>,
         /// Balance (ε) dimension: `(r1, r2)` pairs.
         eps: Vec<(f64, f64)>,
         /// Multi-start runs per (engine, ε) group.
@@ -318,6 +285,8 @@ circuit without re-sending it.
 Partition methods: prop (default), prop-paper, fm, fm-tree, la2, la3, kl,
 sa, eig1, melo, paraboli, window, ml. submit --engine and batch --engines
 take every method except the one-shot eig1, melo, paraboli and window.
+la2 and la3 need unit net costs and kl unit node sizes; a netlist an
+engine cannot take is refused (exit 1, wire code unsupported_input).
 --k K partitions into K parts by recursive bisection (iterative methods
 and ml only); --budgets A1,...,AK caps each part's node weight by an
 absolute area (multi-FPGA style, k-way driver even at K=2). The k-way
@@ -402,14 +371,31 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliErro
         .map_err(|_| usage(format!("bad value {value:?} for {flag}")))
 }
 
-/// Consumes one `--ml-*` knob flag if `arg` is one, returning whether it
-/// was. Shared by `partition` and `submit`.
-fn parse_ml_flag<'a>(
+/// Parses an engine name against the registry.
+fn parse_engine(name: &str) -> Result<EngineName, CliError> {
+    name.parse().map_err(|e: UnknownEngine| usage(e.to_string()))
+}
+
+/// Consumes one job flag if `arg` is one, returning whether it was: the
+/// engine (`engine_flag`: `--method` for partition, `--engine` for
+/// submit), `--r1`/`--r2`, `--runs`, `--seed`, `--k`, `--budgets` and the
+/// `--ml-*` V-cycle knobs. Shared by `partition` and `submit`, so both
+/// build the same [`Job`] from the same flags.
+fn parse_job_flag<'a>(
     arg: &str,
+    engine_flag: &str,
     it: &mut std::slice::Iter<'a, &'a String>,
-    ml: &mut MultilevelConfig,
+    job: &mut Job,
 ) -> Result<bool, CliError> {
+    let ml = &mut job.spec.ml;
     match arg {
+        _ if arg == engine_flag => job.spec.name = parse_engine(take_value(arg, it)?)?,
+        "--r1" => job.r1 = parse_num(arg, take_value(arg, it)?)?,
+        "--r2" => job.r2 = parse_num(arg, take_value(arg, it)?)?,
+        "--runs" => job.runs = parse_num(arg, take_value(arg, it)?)?,
+        "--seed" => job.seed = parse_num(arg, take_value(arg, it)?)?,
+        "--k" => job.k = parse_num(arg, take_value(arg, it)?)?,
+        "--budgets" => job.budgets = Some(parse_budgets(take_value(arg, it)?)?),
         "--ml-coarsest" => ml.coarsest_nodes = parse_num(arg, take_value(arg, it)?)?,
         "--ml-starts" => ml.coarsest_starts = parse_num(arg, take_value(arg, it)?)?,
         "--ml-max-net" => ml.max_match_net = parse_num(arg, take_value(arg, it)?)?,
@@ -423,6 +409,21 @@ fn parse_ml_flag<'a>(
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// The job a `partition` or `submit` command line starts from: 20 runs
+/// of `prop`.
+fn default_job() -> Job {
+    Job {
+        runs: 20,
+        ..Job::default()
+    }
+}
+
+/// Checks a parsed job through the one rule set, [`Job::validate`].
+fn validated(job: Job) -> Result<Job, CliError> {
+    job.validate().map_err(|e| usage(e.to_string()))?;
+    Ok(job)
 }
 
 fn parse_generate(rest: &[&String]) -> Result<Command, CliError> {
@@ -461,49 +462,27 @@ fn parse_partition(rest: &[&String]) -> Result<Command, CliError> {
     let Some(file) = it.next() else {
         return Err(usage("partition needs a netlist file"));
     };
-    let mut method = "prop".to_string();
-    let mut r1 = 0.45;
-    let mut r2 = 0.55;
-    let mut runs = 20usize;
-    let mut seed = 0u64;
+    let mut job = default_job();
     let mut threads = None;
     let mut assign = None;
-    let mut ml = MultilevelConfig::default();
-    let mut k = 2usize;
-    let mut budgets = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--method" => method = take_value("--method", &mut it)?.to_string(),
-            "--r1" => r1 = parse_num("--r1", take_value("--r1", &mut it)?)?,
-            "--r2" => r2 = parse_num("--r2", take_value("--r2", &mut it)?)?,
-            "--runs" => runs = parse_num("--runs", take_value("--runs", &mut it)?)?,
-            "--seed" => seed = parse_num("--seed", take_value("--seed", &mut it)?)?,
             "--threads" => {
                 threads = Some(parse_num("--threads", take_value("--threads", &mut it)?)?)
             }
             "--assign" => assign = Some(take_value("--assign", &mut it)?.to_string()),
-            "--k" => k = parse_num("--k", take_value("--k", &mut it)?)?,
-            "--budgets" => budgets = Some(parse_budgets(take_value("--budgets", &mut it)?)?),
             other => {
-                if !parse_ml_flag(other, &mut it, &mut ml)? {
+                if !parse_job_flag(other, "--method", &mut it, &mut job)? {
                     return Err(usage(format!("unknown partition flag {other:?}")));
                 }
             }
         }
     }
-    validate_kway_flags(k, budgets.as_deref())?;
     Ok(Command::Partition {
         file: (*file).clone(),
-        method,
-        r1,
-        r2,
-        runs,
-        seed,
+        job: validated(job)?,
         threads,
         assign,
-        ml,
-        k,
-        budgets,
     })
 }
 
@@ -517,25 +496,6 @@ fn parse_budgets(value: &str) -> Result<Vec<f64>, CliError> {
         return Err(usage("--budgets needs a comma-separated list of areas"));
     }
     Ok(budgets)
-}
-
-/// Shared `--k` / `--budgets` validation for partition and submit.
-fn validate_kway_flags(k: usize, budgets: Option<&[f64]>) -> Result<(), CliError> {
-    if k < 2 {
-        return Err(usage("--k must be at least 2"));
-    }
-    if let Some(budgets) = budgets {
-        if budgets.len() != k {
-            return Err(usage(format!(
-                "--budgets lists {} areas for --k {k} parts",
-                budgets.len()
-            )));
-        }
-        if budgets.iter().any(|b| !b.is_finite() || *b <= 0.0) {
-            return Err(usage("--budgets areas must be finite and positive"));
-        }
-    }
-    Ok(())
 }
 
 /// The default circuit-store directory for `prop serve`.
@@ -600,7 +560,7 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
 fn parse_batch(rest: &[&String]) -> Result<Command, CliError> {
     let mut circuit_id = None;
     let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut engines = vec!["prop".to_string()];
+    let mut engines = vec![EngineName::Prop];
     let mut eps = vec![(0.45, 0.55)];
     let mut runs = 20usize;
     let mut seed = 0u64;
@@ -619,8 +579,8 @@ fn parse_batch(rest: &[&String]) -> Result<Command, CliError> {
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
+                    .map(parse_engine)
+                    .collect::<Result<_, _>>()?;
                 if engines.is_empty() {
                     return Err(usage("--engines needs a comma-separated engine list"));
                 }
@@ -670,27 +630,13 @@ fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
     let mut file = None;
     let mut circuit_id = None;
     let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut engine = "prop".to_string();
-    let mut runs = 20usize;
-    let mut seed = 0u64;
-    let mut r1 = 0.45;
-    let mut r2 = 0.55;
+    let mut job = default_job();
     let mut timeout_ms = 0u64;
     let mut priority = 0u8;
     let mut no_wait = false;
-    let mut ml = MultilevelConfig::default();
-    let mut k = 2usize;
-    let mut budgets = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--addr" => addr = take_value("--addr", &mut it)?.to_string(),
-            "--engine" => engine = take_value("--engine", &mut it)?.to_string(),
-            "--k" => k = parse_num("--k", take_value("--k", &mut it)?)?,
-            "--budgets" => budgets = Some(parse_budgets(take_value("--budgets", &mut it)?)?),
-            "--runs" => runs = parse_num("--runs", take_value("--runs", &mut it)?)?,
-            "--seed" => seed = parse_num("--seed", take_value("--seed", &mut it)?)?,
-            "--r1" => r1 = parse_num("--r1", take_value("--r1", &mut it)?)?,
-            "--r2" => r2 = parse_num("--r2", take_value("--r2", &mut it)?)?,
             "--timeout-ms" => {
                 timeout_ms = parse_num("--timeout-ms", take_value("--timeout-ms", &mut it)?)?
             }
@@ -702,7 +648,7 @@ fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
                 circuit_id = Some(take_value("--circuit-id", &mut it)?.to_string())
             }
             other => {
-                if parse_ml_flag(other, &mut it, &mut ml)? {
+                if parse_job_flag(other, "--engine", &mut it, &mut job)? {
                     continue;
                 }
                 if !other.starts_with('-') && file.is_none() {
@@ -722,22 +668,14 @@ fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
         }
         _ => {}
     }
-    validate_kway_flags(k, budgets.as_deref())?;
     Ok(Command::Submit {
         file,
         circuit_id,
         addr,
-        engine,
-        runs,
-        seed,
-        r1,
-        r2,
+        job: validated(job)?,
         timeout_ms,
         priority,
         no_wait,
-        ml,
-        k,
-        budgets,
     })
 }
 
@@ -913,100 +851,6 @@ pub fn resolve_threads(threads: Option<usize>) -> ParallelPolicy {
     }
 }
 
-/// Runs the named method on a graph with the default multilevel knobs;
-/// see [`run_method_ml`].
-///
-/// # Errors
-///
-/// Fails on unknown method names or partitioner errors.
-pub fn run_method(
-    method: &str,
-    graph: &Hypergraph,
-    balance: BalanceConstraint,
-    runs: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> Result<RunResult, CliError> {
-    run_method_ml(method, graph, balance, runs, seed, threads, MultilevelConfig::default())
-}
-
-/// Parses a `--method` name against the engine registry.
-fn parse_method(method: &str) -> Result<EngineName, CliError> {
-    method.parse().map_err(|e: prop_engines::UnknownEngine| usage(e.to_string()))
-}
-
-/// Runs the named method on a graph. Iterative methods fan their runs
-/// out as [`resolve_threads`] says for `threads` (`--threads`); global
-/// (one-shot) methods ignore it.
-///
-/// # Errors
-///
-/// Fails on unknown method names or partitioner errors.
-pub fn run_method_ml(
-    method: &str,
-    graph: &Hypergraph,
-    balance: BalanceConstraint,
-    runs: usize,
-    seed: u64,
-    threads: Option<usize>,
-    ml: MultilevelConfig,
-) -> Result<RunResult, CliError> {
-    let policy = resolve_threads(threads);
-    let spec = EngineSpec {
-        name: parse_method(method)?,
-        ml,
-    };
-    match spec.build(seed, runs) {
-        Engine::Iterative(engine) => engine.run_multi_parallel(graph, balance, runs, seed, policy),
-        Engine::Global(engine) => engine.partition(graph, balance),
-    }
-    .map_err(|e| failure(e.to_string()))
-}
-
-/// Runs the recursive k-way driver for `prop partition --k/--budgets`,
-/// recursing with the named 2-way engine; one-shot global methods have
-/// no `improve` step to recurse with and are rejected. The sibling
-/// subtrees and each bisection's runs fan out as [`resolve_threads`]
-/// says for `threads` (`--threads`).
-///
-/// # Errors
-///
-/// Fails on non-iterative methods, infeasible budgets, and partitioner
-/// errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kway(
-    method: &str,
-    graph: &Hypergraph,
-    k: usize,
-    budgets: Option<Vec<f64>>,
-    r1: f64,
-    r2: f64,
-    runs: usize,
-    seed: u64,
-    threads: Option<usize>,
-    ml: MultilevelConfig,
-) -> Result<KwayReport, CliError> {
-    let spec = EngineSpec {
-        name: parse_method(method)?,
-        ml,
-    };
-    let engine = spec.build(seed, 0).iterative().ok_or_else(|| {
-        usage(format!(
-            "method {method:?} cannot drive k-way recursion (use an iterative method)"
-        ))
-    })?;
-    let config = KwayConfig {
-        k,
-        budgets,
-        runs,
-        seed,
-        r1,
-        r2,
-        policy: resolve_threads(threads),
-    };
-    partition_kway(graph, engine.as_ref(), &config).map_err(|e| failure(e.to_string()))
-}
-
 /// Renders the node→part assignment of a k-way partition (one
 /// `<node-or-name> <part>` line per node).
 pub fn render_kway_assignment(graph: &Hypergraph, partition: &KwayPartition) -> String {
@@ -1109,49 +953,47 @@ pub fn run(command: Command) -> Result<(), CliError> {
         }
         Command::Partition {
             file,
-            method,
-            r1,
-            r2,
-            runs,
-            seed,
+            job,
             threads,
             assign,
-            ml,
-            k,
-            budgets,
         } => {
             let graph = load_netlist(&file)?;
+            let report = job
+                .run(&graph, resolve_threads(threads), &CancelToken::new())
+                .map_err(|e| failure(e.to_string()))?;
+            let method = job.spec.name;
             // The assignment file is written before anything is printed,
             // so a closed stdout cannot lose it.
-            let (line, assignment) = if k != 2 || budgets.is_some() {
-                let report =
-                    run_kway(&method, &graph, k, budgets, r1, r2, runs, seed, threads, ml)?;
-                let partition = &report.partition;
-                let sizes: Vec<String> =
-                    partition.block_sizes().iter().map(usize::to_string).collect();
-                let weights: Vec<String> =
-                    partition.part_weights().iter().map(f64::to_string).collect();
-                let line = format!(
-                    "method={method} k={k} cut={} connectivity={} parts={} weights={} passes={}",
-                    partition.cut_cost(&graph),
-                    partition.connectivity_cost(&graph),
-                    sizes.join("/"),
-                    weights.join(","),
-                    report.total_passes
-                );
-                (line, assign.is_some().then(|| render_kway_assignment(&graph, partition)))
-            } else {
-                let balance = BalanceConstraint::weighted(r1, r2, &graph)
-                    .map_err(|e| usage(e.to_string()))?;
-                let result = run_method_ml(&method, &graph, balance, runs, seed, threads, ml)?;
-                let line = format!(
-                    "method={method} cut={} sides={}A/{}B passes={}",
-                    result.cut_cost,
-                    result.partition.count(Side::A),
-                    result.partition.count(Side::B),
-                    result.total_passes
-                );
-                (line, assign.is_some().then(|| render_assignment(&graph, &result)))
+            let (line, assignment) = match &report {
+                JobReport::Kway(report) => {
+                    let partition = &report.partition;
+                    let sizes: Vec<String> =
+                        partition.block_sizes().iter().map(usize::to_string).collect();
+                    let weights: Vec<String> =
+                        partition.part_weights().iter().map(f64::to_string).collect();
+                    let line = format!(
+                        "method={method} k={} cut={} connectivity={} parts={} weights={} \
+                         passes={}",
+                        job.k,
+                        partition.cut_cost(&graph),
+                        partition.connectivity_cost(&graph),
+                        sizes.join("/"),
+                        weights.join(","),
+                        report.total_passes
+                    );
+                    (line, assign.is_some().then(|| render_kway_assignment(&graph, partition)))
+                }
+                JobReport::TwoWay(report) => {
+                    let result = &report.result;
+                    let line = format!(
+                        "method={method} cut={} sides={}A/{}B passes={}",
+                        result.cut_cost,
+                        result.partition.count(Side::A),
+                        result.partition.count(Side::B),
+                        result.total_passes
+                    );
+                    (line, assign.is_some().then(|| render_assignment(&graph, result)))
+                }
             };
             if let (Some(path), Some(text)) = (&assign, assignment) {
                 std::fs::write(path, text)
@@ -1214,17 +1056,10 @@ pub fn run(command: Command) -> Result<(), CliError> {
             file,
             circuit_id,
             addr,
-            engine,
-            runs,
-            seed,
-            r1,
-            r2,
+            job,
             timeout_ms,
             priority,
             no_wait,
-            ml,
-            k,
-            budgets,
         } => {
             let (fmt, payload) = match &file {
                 Some(file) => {
@@ -1244,26 +1079,13 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 None => ("hgr".to_string(), String::new()),
             };
             let request = SubmitRequest {
-                engine,
-                runs,
-                seed,
-                r1,
-                r2,
+                job,
                 timeout_ms,
                 priority,
                 fmt,
                 payload,
                 circuit_id: circuit_id.unwrap_or_default(),
                 wait: !no_wait,
-                ml_coarsest: ml.coarsest_nodes,
-                ml_starts: ml.coarsest_starts,
-                ml_max_net: ml.max_match_net,
-                ml_refine_passes: ml.refine_passes,
-                ml_polish: ml.polish_passes,
-                ml_flow: u8::from(ml.flow.enabled),
-                ml_flow_corridor: ml.flow.corridor_nodes,
-                k,
-                budgets: budgets.unwrap_or_default(),
             };
             let mut client = connect_daemon(&addr)?;
             let response = client.submit(&request).map_err(|e| failure(e.to_string()))?;
@@ -1478,16 +1300,12 @@ mod tests {
             cmd,
             Command::Partition {
                 file: "c.hgr".into(),
-                method: "prop".into(),
-                r1: 0.45,
-                r2: 0.55,
-                runs: 20,
-                seed: 0,
+                job: Job {
+                    runs: 20,
+                    ..Job::new(EngineName::Prop)
+                },
                 threads: None,
                 assign: None,
-                ml: MultilevelConfig::default(),
-                k: 2,
-                budgets: None,
             }
         );
         let cmd = parse_args(&argv(&[
@@ -1497,29 +1315,39 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Partition { ref method, runs: 3, threads: Some(4), .. } if method == "fm"
+            Command::Partition { ref job, threads: Some(4), .. }
+                if job.spec.name == EngineName::Fm && job.runs == 3 && job.r1 == 0.5
         ));
         assert!(parse_args(&argv(&["partition", "c.hgr", "--bogus"])).is_err());
+        // Every job rule is a usage error, refused before any file is read.
+        for bad in [
+            &["--runs", "0"][..],
+            &["--r1", "0.6", "--r2", "0.7"],
+            &["--method", "nope"],
+            &["--method", "eig1", "--k", "3"],
+        ] {
+            let args: Vec<&str> = ["partition", "c.hgr"].iter().chain(bad).copied().collect();
+            assert_eq!(parse_args(&argv(&args)).unwrap_err().code, 2, "{bad:?}");
+        }
         assert!(parse_args(&argv(&["partition", "c.hgr", "--threads", "x"])).is_err());
         assert!(parse_args(&argv(&["partition"])).is_err());
     }
 
     #[test]
     fn parse_kway_flags() {
-        let cmd = parse_args(&argv(&["partition", "c.hgr", "--k", "4"])).unwrap();
-        assert!(matches!(cmd, Command::Partition { k: 4, budgets: None, .. }));
-        let cmd = parse_args(&argv(&[
-            "partition", "c.hgr", "--k", "3", "--budgets", "120,60.5,40",
-        ]))
-        .unwrap();
-        let Command::Partition { k, budgets, .. } = cmd else {
-            panic!("expected partition")
+        let job = |args: &[&str]| match parse_args(&argv(args)).unwrap() {
+            Command::Partition { job, .. } | Command::Submit { job, .. } => job,
+            other => panic!("expected partition or submit, got {other:?}"),
         };
-        assert_eq!(k, 3);
-        assert_eq!(budgets, Some(vec![120.0, 60.5, 40.0]));
+        let kway = job(&["partition", "c.hgr", "--k", "4"]);
+        assert_eq!((kway.k, kway.budgets), (4, None));
+        let budgeted = job(&["partition", "c.hgr", "--k", "3", "--budgets", "120,60.5,40"]);
+        assert_eq!(budgeted.k, 3);
+        assert_eq!(budgeted.budgets, Some(vec![120.0, 60.5, 40.0]));
         // Budgets without --k imply arity 2 and engage the k-way driver.
-        let cmd = parse_args(&argv(&["partition", "c.hgr", "--budgets", "90,60"])).unwrap();
-        assert!(matches!(cmd, Command::Partition { k: 2, budgets: Some(_), .. }));
+        let pair = job(&["partition", "c.hgr", "--budgets", "90,60"]);
+        assert_eq!(pair.k, 2);
+        assert!(pair.budgets.is_some() && pair.is_kway());
         // Validation: k >= 2, arity match, finite positive entries.
         assert!(parse_args(&argv(&["partition", "c.hgr", "--k", "1"])).is_err());
         assert!(parse_args(&argv(&["partition", "c.hgr", "--k", "3", "--budgets", "1,2"]))
@@ -1528,15 +1356,11 @@ mod tests {
         assert!(parse_args(&argv(&["partition", "c.hgr", "--budgets", "1,nan"])).is_err());
         assert!(parse_args(&argv(&["partition", "c.hgr", "--budgets", ""])).is_err());
         // Same flags ride the submit wire request.
-        let cmd = parse_args(&argv(&[
+        let submitted = job(&[
             "submit", "c.hgr", "--engine", "ml", "--k", "4", "--budgets", "10,20,30,40",
-        ]))
-        .unwrap();
-        let Command::Submit { k, budgets, .. } = cmd else {
-            panic!("expected submit")
-        };
-        assert_eq!(k, 4);
-        assert_eq!(budgets, Some(vec![10.0, 20.0, 30.0, 40.0]));
+        ]);
+        assert_eq!(submitted.k, 4);
+        assert_eq!(submitted.budgets, Some(vec![10.0, 20.0, 30.0, 40.0]));
         assert!(parse_args(&argv(&["submit", "c.hgr", "--k", "0"])).is_err());
     }
 
@@ -1548,9 +1372,10 @@ mod tests {
             "--ml-flow-corridor", "500",
         ]))
         .unwrap();
-        let Command::Partition { ml, .. } = cmd else {
+        let Command::Partition { job, .. } = cmd else {
             panic!("expected partition")
         };
+        let ml = job.spec.ml;
         assert_eq!(ml.coarsest_nodes, 64);
         assert_eq!(ml.coarsest_starts, 4);
         assert_eq!(ml.max_match_net, 12);
@@ -1561,9 +1386,10 @@ mod tests {
         // --ml-flow alone enables the pass at the default corridor size.
         let cmd = parse_args(&argv(&["partition", "c.hgr", "--method", "ml", "--ml-flow"]))
             .unwrap();
-        let Command::Partition { ml, .. } = cmd else {
+        let Command::Partition { job, .. } = cmd else {
             panic!("expected partition")
         };
+        let ml = job.spec.ml;
         assert!(ml.flow.enabled);
         assert_eq!(
             ml.flow.corridor_nodes,
@@ -1574,10 +1400,10 @@ mod tests {
             "submit", "c.hgr", "--engine", "ml", "--ml-coarsest", "64",
         ]))
         .unwrap();
-        let Command::Submit { ml, .. } = cmd else {
+        let Command::Submit { job, .. } = cmd else {
             panic!("expected submit")
         };
-        assert_eq!(ml.coarsest_nodes, 64);
+        assert_eq!(job.spec.ml.coarsest_nodes, 64);
         assert!(parse_args(&argv(&["partition", "c.hgr", "--ml-coarsest", "x"])).is_err());
         assert!(parse_args(&argv(&["partition", "c.hgr", "--ml-coarsest"])).is_err());
     }
@@ -1644,7 +1470,7 @@ mod tests {
             Command::Batch {
                 circuit_id: "golem3".into(),
                 addr: DEFAULT_SERVE_ADDR.into(),
-                engines: vec!["prop".into()],
+                engines: vec![EngineName::Prop],
                 eps: vec![(0.45, 0.55)],
                 runs: 20,
                 seed: 0,
@@ -1664,7 +1490,7 @@ mod tests {
             Command::Batch {
                 circuit_id: "c".into(),
                 addr: DEFAULT_SERVE_ADDR.into(),
-                engines: vec!["fm".into(), "prop".into()],
+                engines: vec![EngineName::Fm, EngineName::Prop],
                 eps: vec![(0.45, 0.55), (0.4, 0.6)],
                 runs: 8,
                 seed: 3,
@@ -1678,6 +1504,7 @@ mod tests {
         assert!(parse_args(&argv(&["batch", "--circuit-id", "c", "--eps", "0.45"])).is_err());
         assert!(parse_args(&argv(&["batch", "--circuit-id", "c", "--eps", "a:b"])).is_err());
         assert!(parse_args(&argv(&["batch", "--circuit-id", "c", "--bogus"])).is_err());
+        assert!(parse_args(&argv(&["batch", "--circuit-id", "c", "--engines", "x"])).is_err());
     }
 
     #[test]
@@ -1689,17 +1516,13 @@ mod tests {
                 file: Some("c.hgr".into()),
                 circuit_id: None,
                 addr: DEFAULT_SERVE_ADDR.into(),
-                engine: "prop".into(),
-                runs: 20,
-                seed: 0,
-                r1: 0.45,
-                r2: 0.55,
+                job: Job {
+                    runs: 20,
+                    ..Job::new(EngineName::Prop)
+                },
                 timeout_ms: 0,
                 priority: 0,
                 no_wait: false,
-                ml: MultilevelConfig::default(),
-                k: 2,
-                budgets: None,
             }
         );
         let cmd = parse_args(&argv(&[
@@ -1710,13 +1533,12 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Submit {
-                ref engine,
-                runs: 4,
+                ref job,
                 timeout_ms: 250,
                 priority: 2,
                 no_wait: true,
                 ..
-            } if engine == "ml"
+            } if job.spec.name == EngineName::Ml && job.runs == 4
         ));
         assert!(parse_args(&argv(&["submit"])).is_err());
         assert!(parse_args(&argv(&["submit", "c.hgr", "--priority", "x"])).is_err());
@@ -1893,24 +1715,30 @@ mod tests {
         assert_eq!(err.code, 2);
     }
 
+    /// Every method runs through the one job path, and runs on every
+    /// CPU, on one and on two give the same result exactly.
     #[test]
-    fn run_method_covers_all_names() {
+    fn every_method_is_thread_count_invariant() {
         let graph = prop_netlist::generate::generate(
             &prop_netlist::generate::GeneratorConfig::new(40, 48, 160).with_seed(1),
         )
         .unwrap();
-        let balance = BalanceConstraint::new(0.45, 0.55, 40).unwrap();
-        for method in EngineName::ALL.map(EngineName::as_str) {
-            let result = run_method(method, &graph, balance, 2, 0, None).unwrap();
-            assert!(result.partition.is_balanced(balance), "{method}");
-            // Runs on every CPU, on one, and on two give the same result
-            // exactly.
-            let one = run_method(method, &graph, balance, 2, 0, Some(1)).unwrap();
-            let par = run_method(method, &graph, balance, 2, 0, Some(2)).unwrap();
-            assert_eq!(one, result, "{method}");
-            assert_eq!(par, result, "{method}");
+        let balance = prop_core::BalanceConstraint::new(0.45, 0.55, 40).unwrap();
+        let token = CancelToken::new();
+        for name in EngineName::ALL {
+            let job = Job {
+                runs: 2,
+                ..Job::new(name)
+            };
+            let run = |threads| job.run(&graph, resolve_threads(threads), &token).unwrap();
+            let result = run(None);
+            let JobReport::TwoWay(report) = &result else {
+                panic!("{name}: a k = 2 job is a bipartition")
+            };
+            assert!(report.result.partition.is_balanced(balance), "{name}");
+            assert_eq!(run(Some(1)), result, "{name}");
+            assert_eq!(run(Some(2)), result, "{name}");
         }
-        assert!(run_method("nope", &graph, balance, 1, 0, None).is_err());
     }
 
     #[test]
@@ -1933,9 +1761,13 @@ mod tests {
             &prop_netlist::generate::GeneratorConfig::new(10, 12, 40).with_seed(2),
         )
         .unwrap();
-        let balance = BalanceConstraint::bisection(10);
-        let result = run_method("fm", &graph, balance, 1, 0, None).unwrap();
-        let text = render_assignment(&graph, &result);
+        let report = Job::new(EngineName::Fm)
+            .run(&graph, ParallelPolicy::Sequential, &CancelToken::new())
+            .unwrap();
+        let JobReport::TwoWay(report) = report else {
+            panic!("a k = 2 job is a bipartition")
+        };
+        let text = render_assignment(&graph, &report.result);
         assert_eq!(text.lines().count(), 10);
         assert!(text.lines().all(|l| l.ends_with(" A") || l.ends_with(" B")));
     }

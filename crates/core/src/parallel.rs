@@ -17,6 +17,10 @@
 //!
 //! Consequently [`Partitioner::run_multi_parallel`] returns results
 //! bit-identical to [`Partitioner::run_multi`] for every thread count.
+//!
+//! There is one harness body, [`run_multi_cancellable`]: the
+//! uncancellable entry points run it under a fresh token that never
+//! trips, which changes no control flow.
 
 use crate::balance::BalanceConstraint;
 use crate::cancel::{self, CancelToken};
@@ -102,111 +106,6 @@ fn run_workers<F: Fn() + Sync>(workers: usize, worker: F) {
     });
 }
 
-/// A complete multi-start work order: how many runs, from which base
-/// seed, over how many threads.
-///
-/// ```
-/// use prop_core::{BalanceConstraint, Prop, RunBudget};
-/// use prop_netlist::generate::{generate, GeneratorConfig};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let graph = generate(&GeneratorConfig::new(80, 90, 300).with_seed(5))?;
-/// let balance = BalanceConstraint::bisection(graph.num_nodes());
-/// let budget = RunBudget::new(4).with_seed(7).with_threads(2);
-/// let best = budget.execute(&Prop::default(), &graph, balance)?;
-/// assert_eq!(best.run_cuts.len(), 4);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct RunBudget {
-    /// Number of independent runs (best-of-R).
-    pub runs: usize,
-    /// Seed of run 0; run `r` uses `base_seed + r`.
-    pub base_seed: u64,
-    /// Worker-thread policy.
-    pub policy: ParallelPolicy,
-}
-
-impl RunBudget {
-    /// A sequential budget of `runs` runs from seed 0.
-    pub fn new(runs: usize) -> Self {
-        RunBudget {
-            runs,
-            base_seed: 0,
-            policy: ParallelPolicy::Sequential,
-        }
-    }
-
-    /// Replaces the base seed.
-    #[must_use]
-    pub fn with_seed(self, base_seed: u64) -> Self {
-        RunBudget { base_seed, ..self }
-    }
-
-    /// Replaces the thread policy with an explicit worker count.
-    #[must_use]
-    pub fn with_threads(self, threads: usize) -> Self {
-        RunBudget {
-            policy: ParallelPolicy::Threads(threads),
-            ..self
-        }
-    }
-
-    /// Replaces the thread policy.
-    #[must_use]
-    pub fn with_policy(self, policy: ParallelPolicy) -> Self {
-        RunBudget { policy, ..self }
-    }
-
-    /// Runs the budget with `partitioner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError::EmptyGraph`] for a node-less graph and
-    /// [`PartitionError::InvalidConfig`] when `runs == 0`.
-    pub fn execute<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        graph: &prop_netlist::Hypergraph,
-        balance: BalanceConstraint,
-    ) -> Result<RunResult, PartitionError> {
-        run_multi_parallel(
-            partitioner,
-            graph,
-            balance,
-            self.runs,
-            self.base_seed,
-            self.policy,
-        )
-    }
-
-    /// Runs the budget under a cancellation token; see
-    /// [`Partitioner::run_multi_cancellable`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError::EmptyGraph`] for a node-less graph and
-    /// [`PartitionError::InvalidConfig`] when `runs == 0`.
-    pub fn execute_cancellable<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        graph: &prop_netlist::Hypergraph,
-        balance: BalanceConstraint,
-        token: &CancelToken,
-    ) -> Result<MultiRunReport, PartitionError> {
-        run_multi_cancellable(
-            partitioner,
-            graph,
-            balance,
-            self.runs,
-            self.base_seed,
-            self.policy,
-            token,
-        )
-    }
-}
-
 /// How a cancellable multi-start invocation terminated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunStatus {
@@ -261,85 +160,8 @@ fn execute_run<P: Partitioner + ?Sized>(
     }
 }
 
-/// The shared implementation behind [`Partitioner::run_multi`] and
-/// [`Partitioner::run_multi_parallel`].
-///
-/// # Errors
-///
-/// Returns [`PartitionError::EmptyGraph`] for a node-less graph and
-/// [`PartitionError::InvalidConfig`] when `runs == 0`.
-pub(crate) fn run_multi_parallel<P: Partitioner + ?Sized>(
-    partitioner: &P,
-    graph: &prop_netlist::Hypergraph,
-    balance: BalanceConstraint,
-    runs: usize,
-    base_seed: u64,
-    policy: ParallelPolicy,
-) -> Result<RunResult, PartitionError> {
-    if graph.num_nodes() == 0 {
-        return Err(PartitionError::EmptyGraph);
-    }
-    if runs == 0 {
-        return Err(PartitionError::InvalidConfig {
-            message: "runs must be at least 1".into(),
-        });
-    }
-
-    let workers = policy.worker_count(runs);
-    let outcomes: Vec<RunOutcome> = if workers <= 1 {
-        (0..runs)
-            .map(|r| execute_run(partitioner, graph, balance, base_seed, r))
-            .collect()
-    } else {
-        // Slot vector indexed by run id: results are stored by identity,
-        // never by completion order, so thread scheduling cannot leak
-        // into the output.
-        let slots: Vec<Mutex<Option<RunOutcome>>> =
-            (0..runs).map(|_| Mutex::new(None)).collect();
-        let next_run = AtomicUsize::new(0);
-        run_workers(workers, || loop {
-            let r = next_run.fetch_add(1, Ordering::Relaxed);
-            if r >= runs {
-                break;
-            }
-            let outcome = execute_run(partitioner, graph, balance, base_seed, r);
-            *slots[r].lock().expect("run slot poisoned") = Some(outcome);
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("run slot poisoned")
-                    .expect("every run index was claimed by a worker")
-            })
-            .collect()
-    };
-
-    // Winner: lowest cut, earliest run index on ties — exactly the
-    // sequential loop's strict-improvement rule.
-    let mut total_passes = 0;
-    let mut run_cuts = Vec::with_capacity(runs);
-    let mut best_index = 0;
-    for (r, outcome) in outcomes.iter().enumerate() {
-        total_passes += outcome.passes;
-        run_cuts.push(outcome.cut);
-        if outcome.cut < outcomes[best_index].cut {
-            best_index = r;
-        }
-    }
-    let best = outcomes
-        .into_iter()
-        .nth(best_index)
-        .expect("best_index is in range");
-    Ok(RunResult {
-        partition: best.partition,
-        cut_cost: best.cut,
-        total_passes,
-        run_cuts,
-    })
-}
-
-/// The shared implementation behind [`Partitioner::run_multi_cancellable`].
+/// The one multi-start harness, behind every `run_multi*` entry point of
+/// [`Partitioner`].
 ///
 /// Workers poll the token before claiming each run, and each run executes
 /// with the token installed in the thread-local [`cancel`] slot so the
@@ -348,9 +170,9 @@ pub(crate) fn run_multi_parallel<P: Partitioner + ?Sized>(
 /// prefix `0..started`, and every started run parks an outcome in its
 /// slot — so `run_cuts` is a prefix of the sequential trajectory.
 ///
-/// With a token that never trips this is bit-identical to
-/// [`run_multi_parallel`]: the polls change no control flow and each run
-/// keeps its sequential seed and slot.
+/// With a token that never trips the result is the same at every
+/// policy: the polls change no control flow and each run keeps its
+/// sequential seed and slot.
 ///
 /// # Errors
 ///
@@ -522,22 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_builder_roundtrip() {
-        let budget = RunBudget::new(6).with_seed(42).with_threads(3);
-        assert_eq!(budget.runs, 6);
-        assert_eq!(budget.base_seed, 42);
-        assert_eq!(budget.policy, ParallelPolicy::Threads(3));
-        let auto = budget.with_policy(ParallelPolicy::Auto);
-        assert_eq!(auto.policy, ParallelPolicy::Auto);
-
-        let g = graph();
-        let balance = BalanceConstraint::bisection(8);
-        let via_budget = budget.execute(&Identity, &g, balance).unwrap();
-        let direct = Identity.run_multi(&g, balance, 6, 42).unwrap();
-        assert_eq!(via_budget, direct);
-    }
-
-    #[test]
     fn parallel_validates_inputs() {
         let empty = HypergraphBuilder::new(0).build().unwrap();
         let balance = BalanceConstraint::bisection(0);
@@ -649,19 +455,6 @@ mod tests {
             ),
             Err(PartitionError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn budget_executes_cancellable() {
-        let g = graph();
-        let balance = BalanceConstraint::bisection(8);
-        let budget = RunBudget::new(5).with_seed(3).with_threads(2);
-        let token = CancelToken::new();
-        let report = budget
-            .execute_cancellable(&Identity, &g, balance, &token)
-            .unwrap();
-        assert_eq!(report.result, budget.execute(&Identity, &g, balance).unwrap());
-        assert_eq!(report.status, RunStatus::Completed);
     }
 
     #[test]

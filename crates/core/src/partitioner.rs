@@ -114,7 +114,8 @@ pub trait Partitioner: Sync {
     /// keeps its sequential seed (`base_seed + r`) and the winner is the
     /// earliest run with the minimum cut, so the result — partition,
     /// cut, and per-run cut vector — is bit-identical to [`run_multi`]
-    /// for every thread count.
+    /// for every thread count. It is [`run_multi_cancellable`] under a
+    /// token that never trips.
     ///
     /// # Errors
     ///
@@ -122,6 +123,7 @@ pub trait Partitioner: Sync {
     /// [`PartitionError::InvalidConfig`] when `runs == 0`.
     ///
     /// [`run_multi`]: Partitioner::run_multi
+    /// [`run_multi_cancellable`]: Partitioner::run_multi_cancellable
     fn run_multi_parallel(
         &self,
         graph: &prop_netlist::Hypergraph,
@@ -130,7 +132,8 @@ pub trait Partitioner: Sync {
         base_seed: u64,
         policy: ParallelPolicy,
     ) -> Result<RunResult, PartitionError> {
-        parallel::run_multi_parallel(self, graph, balance, runs, base_seed, policy)
+        self.run_multi_cancellable(graph, balance, runs, base_seed, policy, &CancelToken::new())
+            .map(|report| report.result)
     }
 
     /// Like [`run_multi_parallel`], but under a cooperative cancellation

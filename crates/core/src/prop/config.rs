@@ -117,8 +117,8 @@ impl PropConfig {
     /// clusters to migrate within a pass, which is where PROP's margin
     /// over FM comes from. The published floor of 0.4 was tuned on the
     /// real ACM/SIGDA circuits; on the proxies it erases the margin. The
-    /// ablation benchmark (`cargo bench -p prop-bench --bench ablation`)
-    /// regenerates this sensitivity curve.
+    /// `ablation` experiment binary (`prop-experiments`) regenerates this
+    /// sensitivity curve.
     pub fn calibrated() -> Self {
         PropConfig {
             p_min: 0.85,

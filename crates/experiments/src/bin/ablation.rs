@@ -67,9 +67,8 @@ fn main() {
     let mut baseline = 0.0;
     for spec in &circuits {
         let graph = spec.instantiate().expect("valid spec");
-        let balance = BalanceConstraint::bisection(graph.num_nodes());
         baseline +=
-            methods::run("FM20", EngineName::Fm, &graph, balance, runs, ParallelPolicy::Sequential)
+            methods::run("FM20", EngineName::Fm, &graph, (0.5, 0.5), runs, ParallelPolicy::Sequential)
                 .cut;
     }
 

@@ -21,8 +21,8 @@
 //! appending `cluster-batch`-labelled jobs/s rows to `BENCH_prop.json`.
 
 use prop_core::BalanceConstraint;
-use prop_engines::{EngineName, EngineSpec};
-use prop_experiments::Options;
+use prop_engines::{EngineName, EngineSpec, Job};
+use prop_experiments::{git_rev, Options};
 use prop_netlist::{format, suite};
 use prop_serve::{
     engine, server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, SubmitRequest,
@@ -65,19 +65,6 @@ fn parse_serve_args() -> (Options, usize, bool) {
         }
     }
     (opts, jobs, cluster)
-}
-
-/// The git revision of the working tree, for row provenance.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Merges the `cluster-batch` rows into `BENCH_prop.json`: previous rows
@@ -142,7 +129,7 @@ fn cluster_sweep(workers: usize, sweep_runs: usize, payload: &[u8]) -> (f64, f64
     let resp = client
         .batch(&BatchRequest {
             circuit_id: "golem3".into(),
-            engines: vec!["fm".into()],
+            engines: vec![EngineName::Fm],
             runs: sweep_runs,
             seed: 0,
             chunk: 1,
@@ -280,9 +267,7 @@ fn main() {
         let start = Instant::now();
         let response = client
             .submit(&SubmitRequest {
-                engine: "prop".into(),
-                runs,
-                seed: 0,
+                job: Job { runs, seed: 0, ..Job::new(EngineName::Prop) },
                 payload,
                 wait: true,
                 ..SubmitRequest::default()
@@ -334,9 +319,7 @@ fn main() {
     for seed in 0..batch_jobs as u64 {
         let response = client
             .submit(&SubmitRequest {
-                engine: "fm".into(),
-                runs: 1,
-                seed,
+                job: Job { runs: 1, seed, ..Job::new(EngineName::Fm) },
                 payload: payload.clone(),
                 ..SubmitRequest::default()
             })

@@ -52,7 +52,7 @@
 
 use prop_core::{BalanceConstraint, KwayConfig, ParallelPolicy, Partitioner};
 use prop_engines::{EngineName, EngineSpec};
-use prop_experiments::Options;
+use prop_experiments::{git_rev, Options};
 use prop_netlist::{format, hgb, suite};
 use std::time::Instant;
 
@@ -209,19 +209,6 @@ fn measure(
         load_ms: 0.0,
         parse_ms: 0.0,
     }
-}
-
-/// The git revision of the working tree, for row provenance.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn render_rows(records: &[Record], threads_avail: usize, rev: &str, label: &str) -> Vec<String> {

@@ -6,7 +6,7 @@
 //! `ml` engine (best-of-R V-cycles over heavy-edge coarsening, PROP/FM
 //! size-adaptive refinement), in both cut quality and per-run wall-clock.
 
-use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_core::ParallelPolicy;
 use prop_engines::EngineName;
 use prop_experiments::methods;
 use prop_experiments::report::{fmt_cut, fmt_pct, fmt_secs, improvement_pct, Table};
@@ -29,13 +29,11 @@ fn main() {
     let mut totals = [0.0f64; 4]; // flat cut, ml cut, flat secs, ml secs
     for spec in opts.circuits() {
         let graph = spec.instantiate().expect("valid Table-1 spec");
-        let balance =
-            BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
         let runs = opts.scaled_runs(20);
 
         let [flat, multi] = [("PROP", EngineName::Prop), ("ML", EngineName::Ml)].map(
             |(label, engine)| {
-                methods::run(label, engine, &graph, balance, runs, ParallelPolicy::Sequential)
+                methods::run(label, engine, &graph, (0.45, 0.55), runs, ParallelPolicy::Sequential)
             },
         );
 

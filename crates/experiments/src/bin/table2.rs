@@ -2,7 +2,7 @@
 //! balance criterion for FM (100/40/20 runs), LA-2, LA-3, WINDOW, and
 //! PROP (20 runs), with PROP's improvement percentages.
 
-use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_core::ParallelPolicy;
 use prop_engines::EngineName;
 use prop_experiments::methods::{self, MethodOutcome};
 use prop_experiments::report::{fmt_cut, fmt_pct, improvement_pct, Table};
@@ -28,13 +28,12 @@ fn main() {
     let mut totals = vec![0.0f64; columns.len()];
     for spec in opts.circuits() {
         let graph = spec.instantiate().expect("valid Table-1 spec");
-        let balance = BalanceConstraint::bisection(graph.num_nodes());
         let mut row = vec![spec.name.to_string()];
         let mut outcomes: Vec<MethodOutcome> = Vec::new();
         for &(name, engine, paper_runs) in &columns {
             let runs = opts.scaled_runs(paper_runs);
             let outcome =
-                methods::run(name, engine, &graph, balance, runs, ParallelPolicy::Sequential);
+                methods::run(name, engine, &graph, (0.5, 0.5), runs, ParallelPolicy::Sequential);
             row.push(fmt_cut(outcome.cut));
             outcomes.push(outcome);
         }

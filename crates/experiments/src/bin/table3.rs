@@ -1,7 +1,7 @@
 //! Regenerates Table 3 of the paper: cutset sizes under the 45-55%
 //! balance criterion for MELO, PARABOLI, EIG1, and PROP (20 runs).
 
-use prop_core::{BalanceConstraint, ParallelPolicy};
+use prop_core::ParallelPolicy;
 use prop_engines::EngineName;
 use prop_experiments::methods;
 use prop_experiments::report::{fmt_cut, fmt_pct, improvement_pct, Table};
@@ -16,8 +16,6 @@ fn main() {
     let mut totals = [0.0f64; 4];
     for spec in opts.circuits() {
         let graph = spec.instantiate().expect("valid Table-1 spec");
-        let balance =
-            BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
         let runs = opts.scaled_runs(20);
         let outcomes = [
             ("MELO", EngineName::Melo),
@@ -26,7 +24,7 @@ fn main() {
             ("PROP", EngineName::Prop),
         ]
         .map(|(label, engine)| {
-            methods::run(label, engine, &graph, balance, runs, ParallelPolicy::Sequential)
+            methods::run(label, engine, &graph, (0.45, 0.55), runs, ParallelPolicy::Sequential)
         });
         let mut row = vec![spec.name.to_string()];
         for (t, o) in totals.iter_mut().zip(&outcomes) {

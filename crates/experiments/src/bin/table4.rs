@@ -2,7 +2,6 @@
 //! compared method, plus the total-time and speed-ratio summaries the
 //! paper's §4 discusses.
 
-use prop_core::BalanceConstraint;
 use prop_engines::EngineName;
 use prop_experiments::methods;
 use prop_experiments::report::{fmt_secs, Table};
@@ -37,9 +36,8 @@ fn main() {
     let run_scale = [100.0, 100.0, 40.0, 20.0, 20.0, 1.0, 1.0, 1.0, 1.0];
     for spec in opts.circuits() {
         let graph = spec.instantiate().expect("valid Table-1 spec");
-        let b5050 = BalanceConstraint::bisection(graph.num_nodes());
-        let b4555 =
-            BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).expect("valid ratios");
+        let b5050 = (0.5, 0.5);
+        let b4555 = (0.45, 0.55);
         let window_runs = opts.scaled_runs(20);
         let outcomes = [
             ("FM-bucket", EngineName::Fm, b5050, probe_runs),

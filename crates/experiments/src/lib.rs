@@ -10,6 +10,7 @@
 //! | `table3`  | Table 3    | 45-55% cutsets: MELO, PARABOLI, EIG1, PROP(20) |
 //! | `table4`  | Table 4    | CPU seconds per run for every method |
 //! | `ablation`| (ours)     | PROP parameter sensitivity |
+//! | `scaling` | §3.5       | PROP vs FM-bucket time per pass against circuit size |
 //!
 //! All binaries accept `--quick` (smallest four circuits, reduced run
 //! counts) and `--circuit <name>` (a single circuit). Runs are entirely
@@ -161,6 +162,35 @@ impl Options {
     }
 }
 
+/// The git revision of the working tree, for row provenance: the short
+/// `HEAD` hash, plus `-dirty` when `git status --porcelain` lists any
+/// change, so a row taken before its change is committed does not carry
+/// the parent's rev as if it measured it. `unknown` outside a checkout.
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) => rev_label(&head, &git(&["status", "--porcelain"]).unwrap_or_default()),
+        None => rev_label("", ""),
+    }
+}
+
+/// The provenance label for `head` (`git rev-parse` output) and
+/// `porcelain` (`git status --porcelain` output).
+fn rev_label(head: &str, porcelain: &str) -> String {
+    match head.trim() {
+        "" => "unknown".to_string(),
+        rev if porcelain.trim().is_empty() => rev.to_string(),
+        rev => format!("{rev}-dirty"),
+    }
+}
+
 fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: <bin> [--quick] [--circuit <name>] [--runs <n>] [--threads <n>]");
@@ -170,6 +200,13 @@ fn usage(message: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rev_label_marks_a_dirty_tree() {
+        assert_eq!(rev_label("d9c6572\n", ""), "d9c6572");
+        assert_eq!(rev_label("d9c6572\n", " M crates/cli/src/lib.rs\n"), "d9c6572-dirty");
+        assert_eq!(rev_label("", ""), "unknown");
+    }
 
     #[test]
     fn default_options_cover_full_suite() {

@@ -1,7 +1,7 @@
 //! The timed method runner shared by the experiment binaries.
 
-use prop_core::{BalanceConstraint, ParallelPolicy};
-use prop_engines::{Engine, EngineName, EngineSpec};
+use prop_core::{CancelToken, ParallelPolicy};
+use prop_engines::{EngineName, Job, JobReport};
 use prop_netlist::Hypergraph;
 use std::time::Instant;
 
@@ -18,33 +18,38 @@ pub struct MethodOutcome {
     pub runs: usize,
 }
 
-/// Runs the registered `engine` at seed 0 and times it: `runs` seeded
-/// multi-start runs fanned out over the worker threads `policy` resolves
-/// to for an iterative engine, one invocation for a global one (WINDOW
-/// then tries `runs` orderings). The reported cut is bit-identical for
-/// every policy; only the wall-clock time changes.
+/// Runs the registered `engine` at seed 0 under the `(r1, r2)` window
+/// through the one job path and times it: `runs` seeded multi-start runs
+/// fanned out over the worker threads `policy` resolves to for an
+/// iterative engine, one invocation for a global one (WINDOW then tries
+/// `runs` orderings). The reported cut is bit-identical for every
+/// policy; only the wall-clock time changes.
 pub fn run(
     label: &str,
     engine: EngineName,
     graph: &Hypergraph,
-    balance: BalanceConstraint,
+    (r1, r2): (f64, f64),
     runs: usize,
     policy: ParallelPolicy,
 ) -> MethodOutcome {
-    let start = Instant::now();
-    let (result, runs) = match EngineSpec::new(engine).build(0, runs) {
-        Engine::Iterative(engine) => (
-            engine.run_multi_parallel(graph, balance, runs, 0, policy),
-            runs,
-        ),
-        Engine::Global(engine) => (engine.partition(graph, balance), 1),
+    let job = Job {
+        r1,
+        r2,
+        runs,
+        ..Job::new(engine)
     };
-    let result = result.expect("non-empty graph and runs >= 1");
+    let start = Instant::now();
+    let report = job
+        .run(graph, policy, &CancelToken::new())
+        .expect("a valid job on a non-empty graph");
+    let JobReport::TwoWay(report) = report else {
+        unreachable!("a k = 2 job is a bipartition")
+    };
     MethodOutcome {
         method: label.to_string(),
-        cut: result.cut_cost,
-        seconds_per_run: start.elapsed().as_secs_f64() / runs.max(1) as f64,
-        runs,
+        cut: report.result.cut_cost,
+        seconds_per_run: start.elapsed().as_secs_f64() / report.started_runs.max(1) as f64,
+        runs: report.started_runs,
     }
 }
 
@@ -56,14 +61,13 @@ mod tests {
     #[test]
     fn iterative_and_global_runners_report_consistent_outcomes() {
         let g = generate(&GeneratorConfig::new(60, 66, 220).with_seed(5)).unwrap();
-        let balance = BalanceConstraint::bisection(60);
-        let fm_out = run("FM3", EngineName::Fm, &g, balance, 3, ParallelPolicy::Sequential);
+        let fm_out = run("FM3", EngineName::Fm, &g, (0.5, 0.5), 3, ParallelPolicy::Sequential);
         assert_eq!(fm_out.runs, 3);
         assert!(fm_out.cut >= 0.0);
         assert!(fm_out.seconds_per_run >= 0.0);
-        let par = run("FM3", EngineName::Fm, &g, balance, 3, ParallelPolicy::Threads(2));
+        let par = run("FM3", EngineName::Fm, &g, (0.5, 0.5), 3, ParallelPolicy::Threads(2));
         assert_eq!(par.cut, fm_out.cut);
-        let eig_out = run("EIG1", EngineName::Eig1, &g, balance, 20, ParallelPolicy::Sequential);
+        let eig_out = run("EIG1", EngineName::Eig1, &g, (0.5, 0.5), 20, ParallelPolicy::Sequential);
         assert_eq!(eig_out.runs, 1);
         assert_eq!(eig_out.method, "EIG1");
     }

@@ -101,20 +101,17 @@ impl Partitioner for Kl {
         "KL"
     }
 
-    /// # Panics
-    ///
-    /// Panics if the graph has non-unit node sizes: pair swaps preserve
-    /// counts, not weights, so KL only supports the unit-size criterion.
+    /// Pair swaps preserve side counts, not side weights, so KL keeps
+    /// only the unit-size criterion: on netlists with node sizes the
+    /// result may leave the weighted window.
+    /// `prop_engines::EngineName::accepts` refuses such netlists before a
+    /// job runs.
     fn improve(
         &self,
         graph: &Hypergraph,
         partition: &mut Bipartition,
         _balance: BalanceConstraint,
     ) -> ImproveStats {
-        assert!(
-            graph.has_unit_node_weights(),
-            "KL pair swaps require unit node sizes"
-        );
         let n = graph.num_nodes();
         let clique = CliqueGraph::build(graph, self.max_clique_net);
         let mut passes = 0;

@@ -126,19 +126,17 @@ impl Partitioner for La {
         }
     }
 
-    /// # Panics
-    ///
-    /// Panics if the graph has non-unit net weights.
+    /// The gain vectors count nets, so they are defined on unit net costs
+    /// only: on other netlists the move order ignores the costs, while
+    /// the committed prefix still follows the costed cut.
+    /// `prop_engines::EngineName::accepts` refuses such netlists before a
+    /// job runs.
     fn improve(
         &self,
         graph: &Hypergraph,
         partition: &mut Bipartition,
         balance: BalanceConstraint,
     ) -> ImproveStats {
-        assert!(
-            graph.has_unit_weights(),
-            "LA-k counts nets and requires unit net costs"
-        );
         let n = graph.num_nodes();
         let mut cut = CutState::new(graph, partition);
         let mut passes = 0;

@@ -31,8 +31,8 @@
 //! partition, the planner-assigned index making the last tie-break
 //! structural rather than arrival-ordered.
 
-use crate::engine;
-use crate::wire::{SubmitRequest, WireError};
+use crate::wire::{served_engine, SubmitRequest, WireError};
+use prop_engines::{EngineName, Job};
 
 /// Cap on the number of sub-jobs one `batch` request may expand into —
 /// bounds the coordinator's per-batch memory against hostile specs.
@@ -43,8 +43,8 @@ pub const MAX_SWEEP_SUB_JOBS: usize = 4096;
 pub struct BatchRequest {
     /// Stored circuit the whole sweep runs against.
     pub circuit_id: String,
-    /// Engines dimension (wire names, e.g. `prop`, `fm`, `ml`).
-    pub engines: Vec<String>,
+    /// Engines dimension (served engines, e.g. `prop`, `fm`, `ml`).
+    pub engines: Vec<EngineName>,
     /// Balance (ε) dimension: `(r1, r2)` ratio pairs.
     pub eps: Vec<(f64, f64)>,
     /// Seeds dimension: multi-start runs per (engine, ε) group.
@@ -61,7 +61,7 @@ impl Default for BatchRequest {
     fn default() -> Self {
         BatchRequest {
             circuit_id: String::new(),
-            engines: vec!["prop".into()],
+            engines: vec![EngineName::Prop],
             eps: vec![(0.45, 0.55)],
             runs: 1,
             seed: 0,
@@ -69,17 +69,6 @@ impl Default for BatchRequest {
             timeout_ms: 0,
         }
     }
-}
-
-/// One (engine, ε) point of the sweep.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepGroup {
-    /// Engine wire name.
-    pub engine: String,
-    /// Lower balance ratio.
-    pub r1: f64,
-    /// Upper balance ratio.
-    pub r2: f64,
 }
 
 /// One schedulable unit: a chunk of consecutive runs of one group,
@@ -115,8 +104,8 @@ pub struct SubJobOutcome {
 /// `run_multi` of the same `runs` and base seed.
 #[derive(Clone, PartialEq, Debug)]
 pub struct GroupResult {
-    /// Engine wire name.
-    pub engine: String,
+    /// Engine.
+    pub engine: EngineName,
     /// Lower balance ratio.
     pub r1: f64,
     /// Upper balance ratio.
@@ -162,7 +151,8 @@ impl BatchResult {
 impl BatchRequest {
     /// Renders the request as one wire line (without the trailing `\n`).
     pub fn render(&self) -> String {
-        let engines = self.engines.join(",");
+        let engines: Vec<&str> = self.engines.iter().map(|name| name.as_str()).collect();
+        let engines = engines.join(",");
         let eps = self
             .eps
             .iter()
@@ -179,9 +169,10 @@ impl BatchRequest {
     ///
     /// # Errors
     ///
-    /// [`WireError::Malformed`] on unknown fields or engines, bad ratio
-    /// pairs, zero runs/chunk, a missing circuit id, or a sweep that
-    /// would expand past [`MAX_SWEEP_SUB_JOBS`].
+    /// [`WireError::Malformed`] on unknown fields or engines, unparsable
+    /// ratio pairs, zero chunk, a missing circuit id, a group job that
+    /// fails [`Job::validate`] (zero runs, unsatisfiable ratios), or a
+    /// sweep that would expand past [`MAX_SWEEP_SUB_JOBS`].
     pub fn parse(fields: &[(&str, &str)]) -> Result<Self, WireError> {
         fn val<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, WireError> {
             v.parse()
@@ -193,13 +184,14 @@ impl BatchRequest {
             match k {
                 "circuit_id" => circuit = Some(v.to_string()),
                 "engines" => {
-                    let engines: Vec<String> = v.split(',').map(str::to_string).collect();
-                    for name in &engines {
-                        engine::served_engine(name).map_err(|message| {
-                            WireError::Malformed(format!("{message} in engines list"))
-                        })?;
-                    }
-                    req.engines = engines;
+                    req.engines = v
+                        .split(',')
+                        .map(|name| {
+                            served_engine(name).map_err(|message| {
+                                WireError::Malformed(format!("{message} in engines list"))
+                            })
+                        })
+                        .collect::<Result<_, _>>()?;
                 }
                 "eps" => {
                     let mut eps = Vec::new();
@@ -209,14 +201,7 @@ impl BatchRequest {
                                 "bad ε pair {pair:?} (use r1:r2)"
                             )));
                         };
-                        let r1: f64 = val("eps", a)?;
-                        let r2: f64 = val("eps", b)?;
-                        if !(r1 > 0.0 && r1 < r2 && r2 < 1.0) {
-                            return Err(WireError::Malformed(format!(
-                                "ε pair {pair:?} violates 0 < r1 < r2 < 1"
-                            )));
-                        }
-                        eps.push((r1, r2));
+                        eps.push((val("eps", a)?, val("eps", b)?));
                     }
                     req.eps = eps;
                 }
@@ -229,14 +214,12 @@ impl BatchRequest {
         }
         req.circuit_id =
             circuit.ok_or_else(|| WireError::Malformed("batch needs circuit_id=<id>".into()))?;
-        if req.runs == 0 {
-            return Err(WireError::Malformed("runs must be at least 1".into()));
-        }
         if req.chunk == 0 {
             return Err(WireError::Malformed("chunk must be at least 1".into()));
         }
-        if req.engines.is_empty() || req.eps.is_empty() {
-            return Err(WireError::Malformed("engines and eps must be non-empty".into()));
+        for job in req.groups() {
+            job.validate()
+                .map_err(|e| WireError::Malformed(e.to_string()))?;
         }
         let chunks_per_group = req.runs.div_ceil(req.chunk);
         let total = req
@@ -253,15 +236,18 @@ impl BatchRequest {
     }
 
     /// The sweep's (engine, ε) groups, engine-major then ε, in the fixed
-    /// order every expansion and merge uses.
-    pub fn groups(&self) -> Vec<SweepGroup> {
+    /// order every expansion and merge uses: each is the job a sequential
+    /// run of the whole group would be.
+    pub fn groups(&self) -> Vec<Job> {
         let mut groups = Vec::with_capacity(self.engines.len() * self.eps.len());
-        for engine in &self.engines {
+        for &name in &self.engines {
             for &(r1, r2) in &self.eps {
-                groups.push(SweepGroup {
-                    engine: engine.clone(),
+                groups.push(Job {
                     r1,
                     r2,
+                    runs: self.runs,
+                    seed: self.seed,
+                    ..Job::new(name)
                 });
             }
         }
@@ -274,7 +260,7 @@ impl BatchRequest {
     /// tie-breaker.
     pub fn expand(&self) -> Vec<SubJob> {
         let mut jobs = Vec::new();
-        for (g, group) in self.groups().iter().enumerate() {
+        for (g, group) in self.groups().into_iter().enumerate() {
             let mut offset = 0;
             while offset < self.runs {
                 let len = self.chunk.min(self.runs - offset);
@@ -283,11 +269,11 @@ impl BatchRequest {
                     group: g,
                     run_offset: offset,
                     request: SubmitRequest {
-                        engine: group.engine.clone(),
-                        runs: len,
-                        seed: self.seed.wrapping_add(offset as u64),
-                        r1: group.r1,
-                        r2: group.r2,
+                        job: Job {
+                            runs: len,
+                            seed: self.seed.wrapping_add(offset as u64),
+                            ..group.clone()
+                        },
                         timeout_ms: self.timeout_ms,
                         circuit_id: self.circuit_id.clone(),
                         wait: true,
@@ -320,7 +306,7 @@ pub fn merge(spec: &BatchRequest, jobs: &[SubJob], outcomes: &[SubJobOutcome]) -
         .groups()
         .into_iter()
         .map(|g| GroupResult {
-            engine: g.engine,
+            engine: g.spec.name,
             r1: g.r1,
             r2: g.r2,
             cut: f64::INFINITY,
@@ -361,13 +347,15 @@ pub fn merge(spec: &BatchRequest, jobs: &[SubJob], outcomes: &[SubJobOutcome]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prop_core::{BalanceConstraint, CancelToken};
+    use crate::engine;
+    use prop_core::{CancelToken, MultiRunReport, ParallelPolicy};
+    use prop_engines::JobReport;
     use prop_netlist::generate::{generate, GeneratorConfig};
 
     fn spec() -> BatchRequest {
         BatchRequest {
             circuit_id: "c".into(),
-            engines: vec!["fm".into(), "prop".into()],
+            engines: vec![EngineName::Fm, EngineName::Prop],
             eps: vec![(0.45, 0.55), (0.4, 0.6)],
             runs: 8,
             seed: 41,
@@ -386,24 +374,24 @@ mod tests {
             assert_eq!(job.index, i);
             assert_eq!(job.request.circuit_id, "c");
             assert!(job.request.wait);
-            assert_eq!(job.request.seed, 41 + job.run_offset as u64);
+            assert_eq!(job.request.job.seed, 41 + job.run_offset as u64);
         }
         // Group run counts partition the sweep's runs exactly.
         for g in 0..4 {
             let total: usize = jobs
                 .iter()
                 .filter(|j| j.group == g)
-                .map(|j| j.request.runs)
+                .map(|j| j.request.job.runs)
                 .sum();
             assert_eq!(total, 8);
         }
         assert_eq!(spec.total_runs(), 32);
         // Engine-major group order.
         let groups = spec.groups();
-        assert_eq!(groups[0].engine, "fm");
-        assert_eq!(groups[1].engine, "fm");
+        assert_eq!(groups[0].spec.name, EngineName::Fm);
+        assert_eq!(groups[1].spec.name, EngineName::Fm);
         assert_eq!((groups[1].r1, groups[1].r2), (0.4, 0.6));
-        assert_eq!(groups[2].engine, "prop");
+        assert_eq!(groups[2].spec.name, EngineName::Prop);
     }
 
     /// The planner's core promise: executing the expansion chunk by
@@ -413,6 +401,12 @@ mod tests {
     fn merge_is_bit_identical_to_sequential_run_multi() {
         let graph = generate(&GeneratorConfig::new(60, 70, 240).with_seed(9)).unwrap();
         let token = CancelToken::new();
+        let run = |job: &Job| -> MultiRunReport {
+            match job.run(&graph, ParallelPolicy::Sequential, &token).unwrap() {
+                JobReport::TwoWay(report) => report,
+                JobReport::Kway(_) => panic!("a sweep group is a bipartition"),
+            }
+        };
         for chunk in [1, 2, 3, 5, 8] {
             let spec = BatchRequest {
                 chunk,
@@ -422,20 +416,7 @@ mod tests {
             let outcomes: Vec<SubJobOutcome> = jobs
                 .iter()
                 .map(|job| {
-                    let r = &job.request;
-                    let name = engine::served_engine(&r.engine).unwrap();
-                    let balance =
-                        BalanceConstraint::weighted(r.r1, r.r2, &graph).unwrap();
-                    let report = engine::execute_with(
-                        name,
-                        &graph,
-                        balance,
-                        r.runs,
-                        r.seed,
-                        &token,
-                        r.ml_config(),
-                    )
-                    .unwrap();
+                    let report = run(&job.request.job);
                     SubJobOutcome {
                         cut: report.result.cut_cost,
                         sides: (
@@ -452,11 +433,7 @@ mod tests {
                 .collect();
             let merged = merge(&spec, &jobs, &outcomes);
             for (g, group) in spec.groups().iter().enumerate() {
-                let name = engine::served_engine(&group.engine).unwrap();
-                let balance =
-                    BalanceConstraint::weighted(group.r1, group.r2, &graph).unwrap();
-                let direct = engine::execute(name, &graph, balance, spec.runs, spec.seed, &token)
-                    .unwrap();
+                let direct = run(group);
                 let got = &merged.groups[g];
                 assert_eq!(got.cut, direct.result.cut_cost, "chunk={chunk} group={g}");
                 assert_eq!(got.run_cuts, direct.result.run_cuts, "chunk={chunk} group={g}");
@@ -503,6 +480,7 @@ mod tests {
             &[("circuit_id", "c"), ("eps", "0.45")],    // not a pair
             &[("circuit_id", "c"), ("eps", "0.6:0.4")], // inverted
             &[("circuit_id", "c"), ("eps", "0:0.5")],   // r1 out of range
+            &[("circuit_id", "c"), ("eps", "0.3:0.4")], // no bisection fits
             &[("circuit_id", "c"), ("bogus", "1")],     // unknown field
             &[("circuit_id", "c"), ("runs", "9999"), ("chunk", "1")], // over cap
         ];

@@ -549,9 +549,9 @@ fn dispatcher(inner: &Arc<Inner>, batch: &Arc<BatchState>, worker: &Arc<WorkerSt
             ("sub_job", json::uint(idx as u64)),
             ("of", json::uint(batch.jobs.len() as u64)),
             ("state", json::str("dispatched")),
-            ("engine", json::str(&job.request.engine)),
-            ("seed", json::uint(job.request.seed)),
-            ("runs", json::uint(job.request.runs as u64)),
+            ("engine", json::str(job.request.job.spec.name.as_str())),
+            ("seed", json::uint(job.request.job.seed)),
+            ("runs", json::uint(job.request.job.runs as u64)),
             ("worker", json::str(&worker.addr)),
         ]));
         let started = Instant::now();
@@ -566,10 +566,10 @@ fn dispatcher(inner: &Arc<Inner>, batch: &Arc<BatchState>, worker: &Arc<WorkerSt
                     ("job", json::uint(batch.id)),
                     ("sub_job", json::uint(idx as u64)),
                     ("of", json::uint(batch.jobs.len() as u64)),
-                    ("engine", json::str(&job.request.engine)),
-                    ("r1", json::num(job.request.r1)),
-                    ("r2", json::num(job.request.r2)),
-                    ("seed", json::uint(job.request.seed)),
+                    ("engine", json::str(job.request.job.spec.name.as_str())),
+                    ("r1", json::num(job.request.job.r1)),
+                    ("r2", json::num(job.request.job.r2)),
+                    ("seed", json::uint(job.request.job.seed)),
                     ("cut", json::num(outcome.cut)),
                     ("worker", json::str(&worker.addr)),
                     ("wall_ms", json::uint(wall_ms)),
@@ -776,7 +776,7 @@ fn finalize_completed(inner: &Arc<Inner>, batch: &Arc<BatchState>) {
         .iter()
         .map(|g| {
             json::obj(vec![
-                ("engine", json::str(&g.engine)),
+                ("engine", json::str(g.engine.as_str())),
                 ("r1", json::num(g.r1)),
                 ("r2", json::num(g.r2)),
                 ("cut", json::num(g.cut)),
@@ -804,7 +804,7 @@ fn finalize_completed(inner: &Arc<Inner>, batch: &Arc<BatchState>) {
         ("batch", Json::Bool(true)),
         ("phase", json::str("done")),
         ("status", json::str("completed")),
-        ("engine", json::str(&w.engine)),
+        ("engine", json::str(w.engine.as_str())),
         ("r1", json::num(w.r1)),
         ("r2", json::num(w.r2)),
         ("cut", json::num(w.cut)),

@@ -1,54 +1,17 @@
-//! Engine dispatch for the daemon's workers.
+//! Netlist payloads and result hashes for the daemon's workers.
 //!
-//! Engines come from the `prop-engines` registry, the same table the
-//! `prop` CLI builds from, so the daemon serves every iterative engine
-//! under its CLI name. Every engine — the multilevel V-cycle included —
-//! runs through the cancellable multi-start harness with the
-//! [`ParallelPolicy::Sequential`] policy, which the harness guarantees
-//! is bit-identical to `run_multi` / `run_multi_parallel` when the token
-//! never trips. A result fetched through the daemon therefore matches a
-//! direct library call byte for byte (the round-trip tests pin this).
+//! Jobs themselves run through `prop_engines::Job::run`, the same path
+//! the `prop` CLI takes, with the [`ParallelPolicy::Sequential`] policy
+//! (the worker pool owns the daemon's concurrency). The harness
+//! guarantees that policy is bit-identical to every other, so a result
+//! fetched through the daemon matches a direct library call byte for
+//! byte (the round-trip tests pin this); the hashes below let clients
+//! check that without shipping the assignment.
+//!
+//! [`ParallelPolicy::Sequential`]: prop_core::ParallelPolicy::Sequential
 
-use prop_core::{
-    partition_kway_cancellable, BalanceConstraint, CancelToken, KwayConfig, KwayReport,
-    MultiRunReport, ParallelPolicy, PartitionError, Partitioner, Side,
-};
-use prop_engines::{EngineName, EngineSpec};
-use prop_multilevel::MultilevelConfig;
+use prop_core::Side;
 use prop_netlist::{format, Hypergraph};
-
-/// Resolves a wire engine name to a served engine: every iterative
-/// engine of the registry. The one-shot global methods have no
-/// multi-start runs to cancel and cannot drive k-way recursion, so they
-/// are refused like unknown names.
-///
-/// # Errors
-///
-/// Returns the `unknown_engine` message, which lists the served engines.
-pub fn served_engine(name: &str) -> Result<EngineName, String> {
-    match name.parse::<EngineName>() {
-        Ok(engine) if engine.is_iterative() => Ok(engine),
-        _ => Err(format!(
-            "unknown engine {name:?} (use {})",
-            EngineName::names(EngineName::is_iterative)
-        )),
-    }
-}
-
-/// Builds the iterative engine `name` with the `ml` knobs and `seed` as
-/// the V-cycle's engine seed.
-fn build(
-    name: EngineName,
-    seed: u64,
-    ml: MultilevelConfig,
-) -> Result<Box<dyn Partitioner>, PartitionError> {
-    EngineSpec { name, ml }
-        .build(seed, 0)
-        .iterative()
-        .ok_or_else(|| PartitionError::InvalidConfig {
-            message: format!("the daemon serves iterative engines only, not {name}"),
-        })
-}
 
 /// Parses a submitted netlist payload (`hgr` or `netd`).
 ///
@@ -62,96 +25,6 @@ pub fn parse_payload(fmt: &str, payload: &str) -> Result<Hypergraph, String> {
         "netd" => format::parse_netd(payload).map_err(|e| e.to_string()),
         other => Err(format!("unknown netlist format {other:?}")),
     }
-}
-
-/// Runs `engine` on `graph` under `token` with the default multilevel
-/// knobs; see [`execute_with`].
-///
-/// # Errors
-///
-/// Propagates [`PartitionError`] from the engine.
-pub fn execute(
-    engine: EngineName,
-    graph: &Hypergraph,
-    balance: BalanceConstraint,
-    runs: usize,
-    seed: u64,
-    token: &CancelToken,
-) -> Result<MultiRunReport, PartitionError> {
-    execute_with(engine, graph, balance, runs, seed, token, MultilevelConfig::default())
-}
-
-/// Runs `engine` on `graph` under `token`, reporting whether the
-/// execution completed or stopped early.
-///
-/// Every engine uses the cancellable sequential multi-start harness. For
-/// the `ml` engine each run is one V-cycle, built from `ml` with its
-/// engine seed set to `seed` (matching `prop-cli`); the V-cycle polls the
-/// token at every level boundary, so a cancelled run still surfaces a
-/// feasible partial partition.
-///
-/// # Errors
-///
-/// Propagates [`PartitionError`] from the engine, and returns
-/// [`PartitionError::InvalidConfig`] for a one-shot global method.
-pub fn execute_with(
-    engine: EngineName,
-    graph: &Hypergraph,
-    balance: BalanceConstraint,
-    runs: usize,
-    seed: u64,
-    token: &CancelToken,
-    ml: MultilevelConfig,
-) -> Result<MultiRunReport, PartitionError> {
-    build(engine, seed, ml)?.run_multi_cancellable(
-        graph,
-        balance,
-        runs,
-        seed,
-        ParallelPolicy::Sequential,
-        token,
-    )
-}
-
-/// Runs `engine` through the recursive k-way driver under `token`.
-///
-/// The 2-way engine underneath each bisection is exactly the one
-/// [`execute_with`] runs, and the driver's sequential run policy
-/// matches it, so a `k = 2` uniform job through this path is
-/// bit-identical to the bipartition path at the same seed. The driver
-/// stays sequential (no concurrent subtrees) because the daemon's worker
-/// pool already owns its concurrency; the result would be identical at
-/// any policy.
-///
-/// # Errors
-///
-/// Propagates [`PartitionError`] from the driver — including the typed
-/// `InfeasibleBudgets` for budget vectors that admit no packing — and
-/// returns [`PartitionError::InvalidConfig`] for a one-shot global
-/// method.
-#[allow(clippy::too_many_arguments)] // a flat job descriptor
-pub fn execute_kway(
-    engine: EngineName,
-    graph: &Hypergraph,
-    k: usize,
-    budgets: Option<Vec<f64>>,
-    r1: f64,
-    r2: f64,
-    runs: usize,
-    seed: u64,
-    token: &CancelToken,
-    ml: MultilevelConfig,
-) -> Result<KwayReport, PartitionError> {
-    let config = KwayConfig {
-        k,
-        budgets,
-        runs,
-        seed,
-        r1,
-        r2,
-        policy: ParallelPolicy::Sequential,
-    };
-    partition_kway_cancellable(graph, build(engine, seed, ml)?.as_ref(), &config, token)
 }
 
 /// FNV-1a 64 over the node→side assignment (one byte per node, `0` for
@@ -183,8 +56,6 @@ pub fn kway_assignment_hash(assignment: &[u32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prop_core::RunStatus;
-    use prop_multilevel::Multilevel;
     use prop_netlist::generate::{generate, GeneratorConfig};
 
     #[test]
@@ -196,24 +67,6 @@ mod tests {
         assert_eq!(parse_payload("netd", &netd).unwrap().num_nodes(), 12);
         assert!(parse_payload("hgr", "not a netlist").is_err());
         assert!(parse_payload("xml", &hgr).is_err());
-    }
-
-    #[test]
-    fn ml_knobs_change_the_engine_configuration() {
-        let g = generate(&GeneratorConfig::new(80, 90, 300).with_seed(4)).unwrap();
-        let balance = BalanceConstraint::new(0.45, 0.55, 80).unwrap();
-        let token = CancelToken::new();
-        let knobs = MultilevelConfig {
-            coarsest_nodes: 16,
-            coarsest_starts: 2,
-            ..MultilevelConfig::default()
-        };
-        let report = execute_with(EngineName::Ml, &g, balance, 2, 9, &token, knobs).unwrap();
-        assert_eq!(report.status, RunStatus::Completed);
-        assert!(report.result.partition.is_balanced(balance));
-        let direct = Multilevel::standard(MultilevelConfig { seed: 9, ..knobs });
-        let expect = direct.run_multi(&g, balance, 2, 9).unwrap();
-        assert_eq!(report.result, expect);
     }
 
     #[test]

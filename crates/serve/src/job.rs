@@ -70,6 +70,9 @@ impl JobStatus {
 pub struct JobOutcome {
     /// How the job ended.
     pub status: JobStatus,
+    /// Typed refusal code when `status == Failed` because the engine
+    /// cannot take the netlist (`unsupported_input`); `None` otherwise.
+    pub code: Option<&'static str>,
     /// Failure message when `status == Failed`.
     pub error: Option<String>,
     /// Best cut cost found (absent on failure).
@@ -89,7 +92,7 @@ pub struct JobOutcome {
     pub wall_ms: u64,
     /// Part count of a k-way job; `None` for the classic bipartition
     /// path (which reports through `sides`).
-    pub k: Option<u32>,
+    pub k: Option<usize>,
     /// Per-part node weights of a k-way job, in part order.
     pub part_weights: Vec<f64>,
     /// Connectivity (λ − 1) objective of a k-way job; `cut` carries the
@@ -102,6 +105,7 @@ impl JobOutcome {
     pub fn failed(message: impl Into<String>, wall_ms: u64) -> Self {
         JobOutcome {
             status: JobStatus::Failed,
+            code: None,
             error: Some(message.into()),
             cut: None,
             sides: (0, 0),

@@ -2,12 +2,12 @@
 //!
 //! The daemon turns the library's deterministic multi-start harness into
 //! a long-running service: clients submit netlists over TCP, a bounded
-//! priority queue applies admission control, a worker pool runs the
-//! engines through the cancellable harness, and a `stats` endpoint
-//! exposes live counters and latency histograms. Results are
-//! **bit-identical** to direct library calls — the workers use the same
-//! sequential multi-start protocol, and an untripped cancellation token
-//! changes no control flow.
+//! priority queue applies admission control, a worker pool runs each
+//! job through `prop_engines::Job::run` (the path the `prop` CLI takes),
+//! and a `stats` endpoint exposes live counters and latency histograms.
+//! Results are **bit-identical** to direct library calls — the workers
+//! use the same multi-start protocol, and an untripped cancellation
+//! token changes no control flow.
 //!
 //! The wire protocol is deliberately minimal (the build environment has
 //! no registry access, so everything here is hand-rolled std): one
@@ -16,14 +16,14 @@
 //! §11 for the full specification.
 //!
 //! ```no_run
+//! use prop_engines::{EngineName, Job};
 //! use prop_serve::{client::Client, server, wire::SubmitRequest};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let handle = server::start(&server::ServerConfig::default())?;
 //! let mut client = Client::connect(handle.addr())?;
 //! let response = client.submit(&SubmitRequest {
-//!     engine: "prop".into(),
-//!     runs: 4,
+//!     job: Job { runs: 4, ..Job::new(EngineName::Prop) },
 //!     payload: "2 2\n1 2\n1 2\n".into(),
 //!     wait: true,
 //!     ..SubmitRequest::default()

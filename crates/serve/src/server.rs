@@ -25,8 +25,8 @@ use crate::metrics::Metrics;
 use crate::queue::{JobQueue, PushError};
 use crate::store::CircuitStore;
 use crate::wire::{self, Request, SubmitRequest, UploadRequest, WireError, DEFAULT_MAX_REQUEST_BYTES};
-use prop_core::{prof, BalanceConstraint, CancelToken, RunStatus, Side};
-use prop_engines::EngineName;
+use prop_core::{prof, CancelToken, ParallelPolicy, RunStatus, Side};
+use prop_engines::{InputNeeds, JobError, JobReport};
 use prop_netlist::{hgb, Hypergraph};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -239,7 +239,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, max_bytes: usize) 
                     Ok(line) => match wire::parse_request(line) {
                         Err(e) => {
                             shared.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                            err_obj("malformed", &e.to_string())
+                            err_obj(e.code(), &e.to_string())
                         }
                         // The one multi-line response: stream batch
                         // events directly, then keep the connection.
@@ -256,7 +256,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, max_bytes: usize) 
             Err(e @ WireError::TooLarge { .. }) => {
                 // Framing is lost: answer once, then drop the connection.
                 shared.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                let body = err_obj("too_large", &e.to_string());
+                let body = err_obj(e.code(), &e.to_string());
                 let _ = writeln!(writer, "{}", body.render());
                 break;
             }
@@ -419,6 +419,18 @@ fn handle_batch(spec: BatchRequest, shared: &Arc<Shared>) -> Json {
         Ok(bytes) => bytes,
         Err(e) => return err_obj(e.code(), &e.to_string()),
     };
+    // Refuse an engine that cannot take the circuit here, once, rather
+    // than as a failed sub-job on every worker. Only a sweep with such an
+    // engine materializes the circuit on the coordinator.
+    if spec.engines.iter().any(|name| name.needs() != InputNeeds::default()) {
+        let graph = match store.get(&spec.circuit_id) {
+            Ok(graph) => graph,
+            Err(e) => return err_obj(e.code(), &e.to_string()),
+        };
+        if let Some(refusal) = spec.engines.iter().find_map(|name| name.accepts(&graph).err()) {
+            return err_obj(UNSUPPORTED_INPUT, &refusal.to_string());
+        }
+    }
     if let Err(e) = store.pin(&spec.circuit_id) {
         return err_obj(e.code(), &e.to_string());
     }
@@ -513,10 +525,6 @@ fn handle_upload(upload: UploadRequest, shared: &Arc<Shared>) -> Json {
 }
 
 fn handle_submit(submit: SubmitRequest, shared: &Arc<Shared>) -> Json {
-    if let Err(message) = engine::served_engine(&submit.engine) {
-        shared.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-        return err_obj("unknown_engine", &message);
-    }
     let circuit_id = submit.circuit_id.clone();
     if !circuit_id.is_empty() {
         // The admission probe doubles as the eviction pin: a typo'd id
@@ -578,6 +586,9 @@ fn view_json(id: u64, view: &JobView) -> Json {
     ];
     if let Some(outcome) = &view.outcome {
         fields.push(("status", json::str(outcome.status.name())));
+        if let Some(code) = outcome.code {
+            fields.push(("error", json::str(code)));
+        }
         if let Some(error) = &outcome.error {
             fields.push(("message", json::str(error)));
         }
@@ -585,7 +596,7 @@ fn view_json(id: u64, view: &JobView) -> Json {
             fields.push(("cut", json::num(cut)));
         }
         if let Some(k) = outcome.k {
-            fields.push(("k", json::uint(u64::from(k))));
+            fields.push(("k", json::uint(k as u64)));
             fields.push((
                 "part_weights",
                 Json::Arr(outcome.part_weights.iter().map(|&w| json::num(w)).collect()),
@@ -633,52 +644,63 @@ fn worker_loop(shared: &Arc<Shared>) {
         let wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
 
         let outcome = match ran {
-            Ok(Ok((kind, JobDone::Kway { status, cut, connectivity, k, part_weights, passes, hash }))) => {
-                shared.metrics.record_latency(kind, wall_ms);
-                shared.metrics.kway.fetch_add(1, Ordering::Relaxed);
-                let status = job_status(status, shared, id);
+            Ok(Ok((report, graph))) => {
+                shared.metrics.record_latency(work.job.spec.name, wall_ms);
+                let status = job_status(report.status(), shared, id);
                 status_counter(status, shared).fetch_add(1, Ordering::Relaxed);
-                JobOutcome {
-                    status,
-                    error: None,
-                    cut: Some(cut),
-                    sides: (0, 0),
-                    passes,
-                    run_cuts: Vec::new(),
-                    assignment_hash: Some(hash),
-                    started_runs: 0,
-                    wall_ms,
-                    k: Some(k),
-                    part_weights,
-                    connectivity: Some(connectivity),
+                match report {
+                    JobReport::Kway(report) => {
+                        shared.metrics.kway.fetch_add(1, Ordering::Relaxed);
+                        let partition = &report.partition;
+                        JobOutcome {
+                            status,
+                            code: None,
+                            error: None,
+                            cut: Some(partition.cut_cost(&graph)),
+                            sides: (0, 0),
+                            passes: report.total_passes,
+                            run_cuts: Vec::new(),
+                            assignment_hash: Some(engine::kway_assignment_hash(
+                                partition.assignment(),
+                            )),
+                            started_runs: 0,
+                            wall_ms,
+                            k: Some(work.job.k),
+                            part_weights: partition.part_weights().to_vec(),
+                            connectivity: Some(partition.connectivity_cost(&graph)),
+                        }
+                    }
+                    JobReport::TwoWay(report) => {
+                        let result = report.result;
+                        JobOutcome {
+                            status,
+                            code: None,
+                            error: None,
+                            cut: Some(result.cut_cost),
+                            sides: (
+                                result.partition.count(Side::A),
+                                result.partition.count(Side::B),
+                            ),
+                            passes: result.total_passes,
+                            run_cuts: result.run_cuts,
+                            assignment_hash: Some(engine::assignment_hash(
+                                result.partition.sides(),
+                            )),
+                            started_runs: report.started_runs,
+                            wall_ms,
+                            k: None,
+                            part_weights: Vec::new(),
+                            connectivity: None,
+                        }
+                    }
                 }
             }
-            Ok(Ok((kind, JobDone::TwoWay(report)))) => {
-                shared.metrics.record_latency(kind, wall_ms);
-                let status = job_status(report.status, shared, id);
-                status_counter(status, shared).fetch_add(1, Ordering::Relaxed);
-                let result = report.result;
-                JobOutcome {
-                    status,
-                    error: None,
-                    cut: Some(result.cut_cost),
-                    sides: (
-                        result.partition.count(Side::A),
-                        result.partition.count(Side::B),
-                    ),
-                    passes: result.total_passes,
-                    run_cuts: result.run_cuts,
-                    assignment_hash: Some(engine::assignment_hash(result.partition.sides())),
-                    started_runs: report.started_runs,
-                    wall_ms,
-                    k: None,
-                    part_weights: Vec::new(),
-                    connectivity: None,
-                }
-            }
-            Ok(Err(message)) => {
+            Ok(Err((code, message))) => {
                 shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                JobOutcome::failed(message, wall_ms)
+                JobOutcome {
+                    code,
+                    ..JobOutcome::failed(message, wall_ms)
+                }
             }
             Err(_) => {
                 shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -696,21 +718,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         shared.jobs.finish(id, outcome);
     }
-}
-
-/// What a worker produced: the classic bipartition report, or a k-way
-/// summary precomputed while the graph was still in scope.
-enum JobDone {
-    TwoWay(prop_core::MultiRunReport),
-    Kway {
-        status: RunStatus,
-        cut: f64,
-        connectivity: f64,
-        k: u32,
-        part_weights: Vec<f64>,
-        passes: usize,
-        hash: u64,
-    },
 }
 
 /// Maps an engine's run status to the job's terminal status: the token
@@ -734,71 +741,44 @@ fn status_counter(status: JobStatus, shared: &Arc<Shared>) -> &AtomicU64 {
     }
 }
 
+/// The response code of a job whose engine cannot take its netlist.
+const UNSUPPORTED_INPUT: &str = "unsupported_input";
+
+/// A failed job: its typed code, when it has one, and its message.
+type Failure = (Option<&'static str>, String);
+
+/// Loads the job's netlist and runs the job. The graph comes back with
+/// the report because the k-way result is summarised against it; a
+/// failure carries a typed code when the engine refused the netlist.
 fn run_job(
     work: &SubmitRequest,
     token: &CancelToken,
     store: Option<&CircuitStore>,
-) -> Result<(EngineName, JobDone), String> {
-    let name = engine::served_engine(&work.engine)?;
+) -> Result<(JobReport, Arc<Hypergraph>), Failure> {
     // A stored circuit is shared by every job of a sweep through one
     // cached `Arc`; an inline payload is parsed per job.
     let graph: Arc<Hypergraph> = if work.circuit_id.is_empty() {
-        Arc::new(engine::parse_payload(&work.fmt, &work.payload)?)
+        Arc::new(engine::parse_payload(&work.fmt, &work.payload).map_err(|m| (None, m))?)
     } else {
         store
-            .ok_or_else(|| "daemon has no circuit store".to_string())?
+            .ok_or_else(|| (None, "daemon has no circuit store".to_string()))?
             .get(&work.circuit_id)
-            .map_err(|e| e.to_string())?
+            .map_err(|e| (None, e.to_string()))?
     };
-    let graph = &*graph;
-    // `k > 2` (or any budget vector) routes through the recursive k-way
-    // driver; the default `k = 2` uniform job keeps the classic
-    // bipartition path bit-for-bit.
-    if work.k > 2 || !work.budgets.is_empty() {
-        let budgets = (!work.budgets.is_empty()).then(|| work.budgets.clone());
-        let report = engine::execute_kway(
-            name,
-            graph,
-            work.k,
-            budgets,
-            work.r1,
-            work.r2,
-            work.runs,
-            work.seed,
-            token,
-            work.ml_config(),
-        )
-        .map_err(|e| e.to_string())?;
-        let done = JobDone::Kway {
-            status: report.status,
-            cut: report.partition.cut_cost(graph),
-            connectivity: report.partition.connectivity_cost(graph),
-            k: u32::try_from(work.k).map_err(|_| "k overflows u32".to_string())?,
-            part_weights: report.partition.part_weights().to_vec(),
-            passes: report.total_passes,
-            hash: engine::kway_assignment_hash(report.partition.assignment()),
-        };
-        return Ok((name, done));
+    // The worker pool owns the daemon's concurrency, so each job runs
+    // its runs (and k-way subtrees) on its worker's thread.
+    match work.job.run(&graph, ParallelPolicy::Sequential, token) {
+        Ok(report) => Ok((report, graph)),
+        Err(e @ JobError::Unsupported(_)) => Err((Some(UNSUPPORTED_INPUT), e.to_string())),
+        Err(e) => Err((None, e.to_string())),
     }
-    let balance =
-        BalanceConstraint::weighted(work.r1, work.r2, graph).map_err(|e| e.to_string())?;
-    engine::execute_with(
-        name,
-        graph,
-        balance,
-        work.runs,
-        work.seed,
-        token,
-        work.ml_config(),
-    )
-    .map(|report| (name, JobDone::TwoWay(report)))
-    .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use prop_engines::{EngineName, Job};
     use prop_netlist::format;
     use prop_netlist::generate::{generate, GeneratorConfig};
 
@@ -840,9 +820,7 @@ mod tests {
         let handle = start_test_server(2, 8);
         let mut client = Client::connect(handle.addr()).unwrap();
         let req = SubmitRequest {
-            engine: "fm".into(),
-            runs: 2,
-            seed: 5,
+            job: Job { runs: 2, seed: 5, ..Job::new(EngineName::Fm) },
             payload: tiny_payload(),
             wait: true,
             ..SubmitRequest::default()
@@ -864,7 +842,7 @@ mod tests {
         let handle = start_test_server(1, 8);
         let mut client = Client::connect(handle.addr()).unwrap();
         let req = SubmitRequest {
-            engine: "prop".into(),
+            job: Job::new(EngineName::Prop),
             payload: tiny_payload(),
             ..SubmitRequest::default()
         };
@@ -884,8 +862,7 @@ mod tests {
         let handle = start_test_server(1, 1);
         let mut client = Client::connect(handle.addr()).unwrap();
         let slow = SubmitRequest {
-            engine: "prop".into(),
-            runs: 12,
+            job: Job { runs: 12, ..Job::new(EngineName::Prop) },
             payload: tiny_payload(),
             ..SubmitRequest::default()
         };
@@ -914,11 +891,7 @@ mod tests {
         let handle = start_test_server(1, 4);
         let mut client = Client::connect(handle.addr()).unwrap();
         let resp = client
-            .submit(&SubmitRequest {
-                engine: "quantum".into(),
-                payload: "2 2\n1 2\n1 2\n".into(),
-                ..SubmitRequest::default()
-            })
+            .roundtrip("submit engine=quantum payload=2%202%0A1%202%0A1%202%0A")
             .unwrap();
         assert_eq!(resp.get("error").and_then(Json::as_str), Some("unknown_engine"));
         let resp = client.status(999).unwrap();
@@ -981,9 +954,7 @@ mod tests {
 
         let inline = client
             .submit(&SubmitRequest {
-                engine: "fm".into(),
-                runs: 2,
-                seed: 9,
+                job: Job { runs: 2, seed: 9, ..Job::new(EngineName::Fm) },
                 payload,
                 wait: true,
                 ..SubmitRequest::default()
@@ -991,9 +962,7 @@ mod tests {
             .unwrap();
         let stored = client
             .submit(&SubmitRequest {
-                engine: "fm".into(),
-                runs: 2,
-                seed: 9,
+                job: Job { runs: 2, seed: 9, ..Job::new(EngineName::Fm) },
                 circuit_id: "tiny".into(),
                 wait: true,
                 ..SubmitRequest::default()
@@ -1007,7 +976,7 @@ mod tests {
         // Unknown ids are refused at admission, not at run time.
         let resp = client
             .submit(&SubmitRequest {
-                engine: "fm".into(),
+                job: Job::new(EngineName::Fm),
                 circuit_id: "ghost".into(),
                 wait: true,
                 ..SubmitRequest::default()
@@ -1108,7 +1077,7 @@ mod tests {
 
         let spec = crate::batch::BatchRequest {
             circuit_id: "tiny".into(),
-            engines: vec!["fm".into()],
+            engines: vec![EngineName::Fm],
             runs: 4,
             seed: 3,
             chunk: 2,

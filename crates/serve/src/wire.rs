@@ -29,6 +29,7 @@
 //! is dropped (the framing is lost); a premature disconnect mid-line is
 //! a clean drop. Nothing on this path panics.
 
+use prop_engines::{EngineName, Job};
 use std::fmt;
 use std::io::{BufRead, ErrorKind};
 
@@ -121,19 +122,14 @@ impl UploadRequest {
     }
 }
 
-/// The fields of a `submit` line.
+/// The fields of a `submit` line: one [`Job`] plus how the daemon should
+/// transport and schedule it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SubmitRequest {
-    /// Engine name (`prop`, `prop-paper`, `fm`, `fm-tree`, `ml`).
-    pub engine: String,
-    /// Best-of-R multi-start runs (iterative engines).
-    pub runs: usize,
-    /// Base seed.
-    pub seed: u64,
-    /// Balance ratios.
-    pub r1: f64,
-    /// Balance ratios.
-    pub r2: f64,
+    /// What to run: `engine=`, `runs=`, `seed=`, `r1=`/`r2=`, the `ml_*`
+    /// knobs, `k=` and `budgets=`. The engine is one the daemon serves
+    /// (see [`served_engine`]).
+    pub job: Job,
     /// Per-job execution deadline in milliseconds; 0 disables it.
     pub timeout_ms: u64,
     /// Scheduling priority (`0..=MAX_PRIORITY`, higher first).
@@ -150,56 +146,18 @@ pub struct SubmitRequest {
     /// When set, the response is sent only once the job is terminal and
     /// carries the full result.
     pub wait: bool,
-    /// Multilevel knob (`ml` engine only, ignored otherwise): stop
-    /// coarsening at this many nodes (values below 2 act as 2).
-    pub ml_coarsest: usize,
-    /// Multilevel knob: greedy initial bisections tried at the coarsest
-    /// level.
-    pub ml_starts: usize,
-    /// Multilevel knob: largest net the matcher scores.
-    pub ml_max_net: usize,
-    /// Multilevel knob: FM pass cap at large weighted levels.
-    pub ml_refine_passes: usize,
-    /// Multilevel knob: PROP polish passes at unit-weight levels.
-    pub ml_polish: usize,
-    /// Multilevel knob: `1` enables flow-based corridor refinement after
-    /// each level's move passes (`0` = off, the default).
-    pub ml_flow: u8,
-    /// Multilevel knob: corridor node cap per side for the flow pass.
-    pub ml_flow_corridor: usize,
-    /// Number of parts. `2` (the default) runs the classic bipartition
-    /// path; `k > 2` (or any budget vector) routes the job through the
-    /// recursive k-way driver.
-    pub k: usize,
-    /// Per-part area budgets for the k-way driver; empty = uniform mode.
-    /// When non-empty the arity must equal `k`.
-    pub budgets: Vec<f64>,
 }
 
 impl Default for SubmitRequest {
     fn default() -> Self {
-        let ml = prop_multilevel::MultilevelConfig::default();
         SubmitRequest {
-            engine: "prop".into(),
-            runs: 1,
-            seed: 0,
-            r1: 0.45,
-            r2: 0.55,
+            job: Job::default(),
             timeout_ms: 0,
             priority: 0,
             fmt: "hgr".into(),
             payload: String::new(),
             circuit_id: String::new(),
             wait: false,
-            ml_coarsest: ml.coarsest_nodes,
-            ml_starts: ml.coarsest_starts,
-            ml_max_net: ml.max_match_net,
-            ml_refine_passes: ml.refine_passes,
-            ml_polish: ml.polish_passes,
-            ml_flow: 0,
-            ml_flow_corridor: ml.flow.corridor_nodes,
-            k: 2,
-            budgets: Vec::new(),
         }
     }
 }
@@ -209,56 +167,60 @@ impl SubmitRequest {
     /// The netlist source is `circuit_id=` when one is set, the inline
     /// `payload=` otherwise.
     pub fn render(&self) -> String {
+        let job = &self.job;
+        let ml = &job.spec.ml;
         let source = if self.circuit_id.is_empty() {
             format!("payload={}", percent_encode(self.payload.as_bytes()))
         } else {
             format!("circuit_id={}", self.circuit_id)
         };
-        let budgets = if self.budgets.is_empty() {
-            String::new()
-        } else {
-            let list: Vec<String> = self.budgets.iter().map(f64::to_string).collect();
-            format!(" budgets={}", list.join(","))
+        let budgets = match &job.budgets {
+            Some(budgets) => {
+                let list: Vec<String> = budgets.iter().map(f64::to_string).collect();
+                format!(" budgets={}", list.join(","))
+            }
+            None => String::new(),
         };
         format!(
             "submit engine={} runs={} seed={} r1={} r2={} timeout_ms={} priority={} wait={} \
              ml_coarsest={} ml_starts={} ml_max_net={} ml_refine_passes={} ml_polish={} \
              ml_flow={} ml_flow_corridor={} k={}{budgets} fmt={} {source}",
-            self.engine,
-            self.runs,
-            self.seed,
-            self.r1,
-            self.r2,
+            job.spec.name,
+            job.runs,
+            job.seed,
+            job.r1,
+            job.r2,
             self.timeout_ms,
             self.priority,
             u8::from(self.wait),
-            self.ml_coarsest,
-            self.ml_starts,
-            self.ml_max_net,
-            self.ml_refine_passes,
-            self.ml_polish,
-            self.ml_flow,
-            self.ml_flow_corridor,
-            self.k,
+            ml.coarsest_nodes,
+            ml.coarsest_starts,
+            ml.max_match_net,
+            ml.refine_passes,
+            ml.polish_passes,
+            u8::from(ml.flow.enabled),
+            ml.flow.corridor_nodes,
+            job.k,
             self.fmt,
         )
     }
+}
 
-    /// The multilevel engine configuration a job built from this request
-    /// should run with (the engine seed is set separately, from `seed`).
-    pub fn ml_config(&self) -> prop_multilevel::MultilevelConfig {
-        prop_multilevel::MultilevelConfig {
-            coarsest_nodes: self.ml_coarsest,
-            coarsest_starts: self.ml_starts,
-            max_match_net: self.ml_max_net,
-            refine_passes: self.ml_refine_passes,
-            polish_passes: self.ml_polish,
-            flow: prop_multilevel::FlowConfig {
-                enabled: self.ml_flow != 0,
-                corridor_nodes: self.ml_flow_corridor,
-            },
-            ..prop_multilevel::MultilevelConfig::default()
-        }
+/// Resolves a wire engine name to a served engine: every iterative
+/// engine of the registry. The one-shot global methods have no
+/// multi-start runs to cancel and cannot drive k-way recursion, so they
+/// are refused like unknown names.
+///
+/// # Errors
+///
+/// The `unknown_engine` message, which lists the served engines.
+pub fn served_engine(name: &str) -> Result<EngineName, String> {
+    match name.parse::<EngineName>() {
+        Ok(engine) if engine.is_iterative() => Ok(engine),
+        _ => Err(format!(
+            "unknown engine {name:?} (use {})",
+            EngineName::names(EngineName::is_iterative)
+        )),
     }
 }
 
@@ -278,6 +240,20 @@ pub enum WireError {
     NotUtf8,
     /// The line failed to parse; the connection stays usable.
     Malformed(String),
+    /// A `submit` named an engine the daemon does not serve; the
+    /// connection stays usable.
+    UnknownEngine(String),
+}
+
+impl WireError {
+    /// The error code of the daemon's response to this failure.
+    pub fn code(&self) -> &'static str {
+        match self {
+            WireError::TooLarge { .. } => "too_large",
+            WireError::UnknownEngine(_) => "unknown_engine",
+            _ => "malformed",
+        }
+    }
 }
 
 impl fmt::Display for WireError {
@@ -289,6 +265,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "connection closed mid-request"),
             WireError::NotUtf8 => write!(f, "request is not valid UTF-8"),
             WireError::Malformed(m) => write!(f, "malformed request: {m}"),
+            WireError::UnknownEngine(m) => f.write_str(m),
         }
     }
 }
@@ -534,15 +511,27 @@ fn parse_submit(fields: &[(&str, &str)]) -> Result<SubmitRequest, WireError> {
         v.parse()
             .map_err(|_| WireError::Malformed(format!("bad value {v:?} for {key}")))
     }
+    fn flag(key: &str, v: &str) -> Result<bool, WireError> {
+        match v {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(WireError::Malformed(format!(
+                "bad value {v:?} for {key} (use 0 or 1)"
+            ))),
+        }
+    }
     let mut req = SubmitRequest::default();
+    let job = &mut req.job;
+    let ml = &mut job.spec.ml;
+    let mut engine = EngineName::Prop.as_str();
     let mut has_payload = false;
     for &(k, v) in fields {
         match k {
-            "engine" => req.engine = v.to_string(),
-            "runs" => req.runs = val(k, v)?,
-            "seed" => req.seed = val(k, v)?,
-            "r1" => req.r1 = val(k, v)?,
-            "r2" => req.r2 = val(k, v)?,
+            "engine" => engine = v,
+            "runs" => job.runs = val(k, v)?,
+            "seed" => job.seed = val(k, v)?,
+            "r1" => job.r1 = val(k, v)?,
+            "r2" => job.r2 = val(k, v)?,
             "timeout_ms" => req.timeout_ms = val(k, v)?,
             "priority" => {
                 req.priority = val(k, v)?;
@@ -553,17 +542,7 @@ fn parse_submit(fields: &[(&str, &str)]) -> Result<SubmitRequest, WireError> {
                     )));
                 }
             }
-            "wait" => {
-                req.wait = match v {
-                    "0" => false,
-                    "1" => true,
-                    _ => {
-                        return Err(WireError::Malformed(format!(
-                            "bad value {v:?} for wait (use 0 or 1)"
-                        )))
-                    }
-                }
-            }
+            "wait" => req.wait = flag(k, v)?,
             "fmt" => {
                 if v != "hgr" && v != "netd" {
                     return Err(WireError::Malformed(format!(
@@ -572,24 +551,20 @@ fn parse_submit(fields: &[(&str, &str)]) -> Result<SubmitRequest, WireError> {
                 }
                 req.fmt = v.to_string();
             }
-            "ml_coarsest" => req.ml_coarsest = val(k, v)?,
-            "ml_starts" => req.ml_starts = val(k, v)?,
-            "ml_max_net" => req.ml_max_net = val(k, v)?,
-            "ml_refine_passes" => req.ml_refine_passes = val(k, v)?,
-            "ml_polish" => req.ml_polish = val(k, v)?,
-            "ml_flow" => req.ml_flow = val(k, v)?,
-            "ml_flow_corridor" => req.ml_flow_corridor = val(k, v)?,
-            "k" => req.k = val(k, v)?,
+            "ml_coarsest" => ml.coarsest_nodes = val(k, v)?,
+            "ml_starts" => ml.coarsest_starts = val(k, v)?,
+            "ml_max_net" => ml.max_match_net = val(k, v)?,
+            "ml_refine_passes" => ml.refine_passes = val(k, v)?,
+            "ml_polish" => ml.polish_passes = val(k, v)?,
+            "ml_flow" => ml.flow.enabled = flag(k, v)?,
+            "ml_flow_corridor" => ml.flow.corridor_nodes = val(k, v)?,
+            "k" => job.k = val(k, v)?,
             "budgets" => {
-                req.budgets = v
-                    .split(',')
-                    .map(|b| val::<f64>(k, b.trim()))
-                    .collect::<Result<Vec<f64>, WireError>>()?;
-                if req.budgets.is_empty() {
-                    return Err(WireError::Malformed(
-                        "budgets needs a comma-separated list of positive areas".into(),
-                    ));
-                }
+                job.budgets = Some(
+                    v.split(',')
+                        .map(|b| val::<f64>(k, b.trim()))
+                        .collect::<Result<Vec<f64>, WireError>>()?,
+                );
             }
             "payload" => {
                 req.payload = percent_decode(v)?;
@@ -609,30 +584,22 @@ fn parse_submit(fields: &[(&str, &str)]) -> Result<SubmitRequest, WireError> {
             "submit needs payload=<netlist> or circuit_id=<id>".into(),
         ));
     }
-    if req.runs == 0 {
-        return Err(WireError::Malformed("runs must be at least 1".into()));
-    }
-    if req.k < 2 {
-        return Err(WireError::Malformed("k must be at least 2".into()));
-    }
-    if !req.budgets.is_empty() && req.budgets.len() != req.k {
-        return Err(WireError::Malformed(format!(
-            "{} budgets supplied for k={} parts",
-            req.budgets.len(),
-            req.k
-        )));
-    }
-    if req.budgets.iter().any(|b| !b.is_finite() || *b <= 0.0) {
-        return Err(WireError::Malformed(
-            "budgets must be finite and positive".into(),
-        ));
-    }
+    // A malformed line is refused as malformed whatever its engine, so
+    // the job is validated before the name is resolved. Every served
+    // engine is iterative, like the default the job holds until then, so
+    // validation does not depend on the name.
+    req.job
+        .validate()
+        .map_err(|e| WireError::Malformed(e.to_string()))?;
+    req.job.spec.name = served_engine(engine).map_err(WireError::UnknownEngine)?;
     Ok(req)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prop_engines::EngineSpec;
+    use prop_multilevel::{FlowConfig, MultilevelConfig};
     use std::io::BufReader;
 
     #[test]
@@ -652,41 +619,78 @@ mod tests {
         assert_eq!(percent_decode("%FF"), Err(WireError::NotUtf8));
     }
 
-    #[test]
-    fn submit_line_roundtrip() {
-        let req = SubmitRequest {
-            engine: "fm".into(),
-            runs: 20,
-            seed: 99,
-            r1: 0.4,
-            r2: 0.6,
+    fn ml_fm_request() -> SubmitRequest {
+        SubmitRequest {
+            job: Job {
+                spec: EngineSpec {
+                    name: EngineName::Fm,
+                    ml: MultilevelConfig {
+                        coarsest_nodes: 64,
+                        coarsest_starts: 16,
+                        max_match_net: 12,
+                        refine_passes: 2,
+                        polish_passes: 0,
+                        flow: FlowConfig {
+                            enabled: true,
+                            corridor_nodes: 800,
+                        },
+                        ..MultilevelConfig::default()
+                    },
+                },
+                runs: 20,
+                seed: 99,
+                r1: 0.4,
+                r2: 0.6,
+                ..Job::default()
+            },
             timeout_ms: 1500,
             priority: 2,
             fmt: "hgr".into(),
             payload: "3 2\n1 2\n2 3\n".into(),
             circuit_id: String::new(),
             wait: true,
-            ml_coarsest: 64,
-            ml_starts: 16,
-            ml_max_net: 12,
-            ml_refine_passes: 2,
-            ml_polish: 0,
-            ml_flow: 1,
-            ml_flow_corridor: 800,
-            k: 2,
-            budgets: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn submit_line_roundtrip() {
+        let req = ml_fm_request();
         let parsed = parse_request(&req.render()).unwrap();
         assert_eq!(parsed, Request::Submit(req));
+    }
+
+    /// The wire text of a job is pinned byte for byte: clients built
+    /// against any earlier daemon keep talking to this one.
+    #[test]
+    fn submit_line_text_is_pinned() {
+        assert_eq!(
+            ml_fm_request().render(),
+            "submit engine=fm runs=20 seed=99 r1=0.4 r2=0.6 timeout_ms=1500 priority=2 wait=1 \
+             ml_coarsest=64 ml_starts=16 ml_max_net=12 ml_refine_passes=2 ml_polish=0 \
+             ml_flow=1 ml_flow_corridor=800 k=2 fmt=hgr payload=3%202%0A1%202%0A2%203%0A"
+        );
+        let stored = SubmitRequest {
+            job: Job {
+                k: 3,
+                budgets: Some(vec![10.0, 2.5, 7.0]),
+                ..Job::new(EngineName::Ml)
+            },
+            circuit_id: "golem3".into(),
+            ..SubmitRequest::default()
+        };
+        assert_eq!(
+            stored.render(),
+            "submit engine=ml runs=1 seed=0 r1=0.45 r2=0.55 timeout_ms=0 priority=0 wait=0 \
+             ml_coarsest=120 ml_starts=8 ml_max_net=8 ml_refine_passes=1 ml_polish=1 \
+             ml_flow=0 ml_flow_corridor=3000 k=3 budgets=10,2.5,7 fmt=hgr circuit_id=golem3"
+        );
     }
 
     #[test]
     fn kway_fields_roundtrip_and_validate() {
         let req = SubmitRequest {
-            engine: "ml".into(),
+            job: Job { k: 4, budgets: Some(vec![1200.0, 600.5, 600.5, 400.0]), ..Job::new(EngineName::Ml) },
             circuit_id: "golem3".into(),
-            k: 4,
-            budgets: vec![1200.0, 600.5, 600.5, 400.0],
             ..SubmitRequest::default()
         };
         let line = req.render();
@@ -696,7 +700,7 @@ mod tests {
 
         // Uniform k-way renders no budgets field at all.
         let req = SubmitRequest {
-            k: 8,
+            job: Job { k: 8, ..Job::new(EngineName::Prop) },
             payload: "x".into(),
             ..SubmitRequest::default()
         };
@@ -713,10 +717,8 @@ mod tests {
     #[test]
     fn submit_by_circuit_id_roundtrip() {
         let req = SubmitRequest {
-            engine: "ml".into(),
+            job: Job { runs: 3, seed: 11, ..Job::new(EngineName::Ml) },
             circuit_id: "golem4".into(),
-            runs: 3,
-            seed: 11,
             wait: true,
             ..SubmitRequest::default()
         };
@@ -778,34 +780,40 @@ mod tests {
 
     #[test]
     fn ml_knobs_default_and_map_to_engine_config() {
-        // A submit line without ml fields parses to the engine defaults.
-        let parsed = parse_request("submit engine=ml payload=abc").unwrap();
-        let Request::Submit(req) = parsed else {
-            panic!("expected submit")
+        let ml = |line: &str| match parse_request(line).unwrap() {
+            Request::Submit(req) => req.job.spec.ml,
+            other => panic!("expected submit, got {other:?}"),
         };
-        assert_eq!(req.ml_config(), prop_multilevel::MultilevelConfig::default());
+        // A submit line without ml fields parses to the engine defaults.
+        assert_eq!(ml("submit engine=ml payload=abc"), MultilevelConfig::default());
 
         // Explicit fields land on the matching config knobs.
-        let parsed =
-            parse_request("submit engine=ml ml_coarsest=50 ml_starts=3 payload=abc").unwrap();
-        let Request::Submit(req) = parsed else {
-            panic!("expected submit")
-        };
-        let cfg = req.ml_config();
+        let cfg = ml("submit engine=ml ml_coarsest=50 ml_starts=3 payload=abc");
         assert_eq!(cfg.coarsest_nodes, 50);
         assert_eq!(cfg.coarsest_starts, 3);
 
         // ml_flow enables the corridor-flow pass; the corridor knob
         // passes through.
-        let parsed =
-            parse_request("submit engine=ml ml_flow=1 ml_flow_corridor=250 payload=abc").unwrap();
-        let Request::Submit(req) = parsed else {
-            panic!("expected submit")
-        };
-        let cfg = req.ml_config();
+        let cfg = ml("submit engine=ml ml_flow=1 ml_flow_corridor=250 payload=abc");
         assert!(cfg.flow.enabled);
         assert_eq!(cfg.flow.corridor_nodes, 250);
         assert!(parse_request("submit ml_starts=x payload=abc").is_err());
+        assert!(parse_request("submit ml_flow=2 payload=abc").is_err());
+    }
+
+    #[test]
+    fn unknown_and_one_shot_engines_are_typed_refusals() {
+        for name in ["quantum", "eig1", "window"] {
+            let err = parse_request(&format!("submit engine={name} payload=abc")).unwrap_err();
+            assert_eq!(err.code(), "unknown_engine", "{name}");
+            assert!(err.to_string().contains("prop, prop-paper"), "{err}");
+        }
+        // A malformed line is malformed whatever its engine.
+        let err = parse_request("submit engine=quantum runs=0 payload=abc").unwrap_err();
+        assert_eq!(err.code(), "malformed");
+        // Ratios follow the one job rule.
+        assert!(parse_request("submit r1=0.6 r2=0.7 payload=abc").is_err());
+        assert!(parse_request("submit r1=0.5 r2=0.5 payload=abc").is_ok());
     }
 
     #[test]
@@ -841,7 +849,7 @@ mod tests {
     fn batch_and_watch_roundtrip() {
         let req = crate::batch::BatchRequest {
             circuit_id: "golem3".into(),
-            engines: vec!["fm".into(), "ml".into()],
+            engines: vec![EngineName::Fm, EngineName::Ml],
             eps: vec![(0.45, 0.55), (0.4, 0.6)],
             runs: 12,
             seed: 41,
@@ -857,7 +865,7 @@ mod tests {
         let Request::Batch(minimal) = parsed else {
             panic!("expected batch")
         };
-        assert_eq!(minimal.engines, vec!["prop".to_string()]);
+        assert_eq!(minimal.engines, vec![EngineName::Prop]);
         assert_eq!(minimal.eps, vec![(0.45, 0.55)]);
         assert_eq!(minimal.runs, 1);
 

@@ -6,6 +6,7 @@
 //! degrade service for well-behaved clients. Every scenario ends by
 //! proving the daemon still completes a real job.
 
+use prop_engines::{EngineName, Job};
 use prop_serve::{server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, SubmitRequest};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -42,8 +43,7 @@ fn assert_daemon_healthy(handle: &server::ServerHandle) {
     let mut client = Client::connect(handle.addr()).unwrap();
     let response = client
         .submit(&SubmitRequest {
-            engine: "fm".into(),
-            runs: 1,
+            job: Job { runs: 1, ..Job::new(EngineName::Fm) },
             payload: "3 4\n1 2\n2 3\n3 4\n".into(),
             wait: true,
             ..SubmitRequest::default()
@@ -156,8 +156,7 @@ fn premature_disconnects_do_not_wedge_the_daemon() {
     {
         let mut stream = raw_connection(&handle);
         let req = SubmitRequest {
-            engine: "fm".into(),
-            runs: 1,
+            job: Job { runs: 1, ..Job::new(EngineName::Fm) },
             payload: "3 4\n1 2\n2 3\n3 4\n".into(),
             wait: true,
             ..SubmitRequest::default()
@@ -288,8 +287,7 @@ fn watch_errors_are_single_typed_lines() {
     // A plain (non-batch) job id is not watchable either.
     let resp = client
         .submit(&SubmitRequest {
-            engine: "fm".into(),
-            runs: 1,
+            job: Job { runs: 1, ..Job::new(EngineName::Fm) },
             payload: "3 4\n1 2\n2 3\n3 4\n".into(),
             wait: true,
             ..SubmitRequest::default()
@@ -336,7 +334,7 @@ fn watcher_disconnect_mid_stream_does_not_stop_the_batch() {
     let resp = client
         .batch(&BatchRequest {
             circuit_id: "c".into(),
-            engines: vec!["fm".into()],
+            engines: vec![EngineName::Fm],
             runs: 6,
             chunk: 1,
             ..BatchRequest::default()
@@ -379,7 +377,7 @@ fn bogus_heartbeat_replies_mark_the_worker_lost_not_the_daemon() {
     let resp = client
         .batch(&BatchRequest {
             circuit_id: "c".into(),
-            engines: vec!["fm".into()],
+            engines: vec![EngineName::Fm],
             runs: 8,
             chunk: 1,
             ..BatchRequest::default()

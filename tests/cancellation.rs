@@ -12,6 +12,7 @@ use prop_core::{
 use prop_fm::FmBucket;
 use prop_multilevel::{Multilevel, MultilevelConfig};
 use prop_netlist::generate::{generate, GeneratorConfig};
+use prop_engines::{EngineName, Job};
 use prop_serve::{server, Client, Json, ServerConfig, SubmitRequest};
 use prop_verify::oracle;
 use std::time::Duration;
@@ -161,8 +162,7 @@ fn daemon_cancel_and_timeout_report_partial_results() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let resp = client
         .submit(&SubmitRequest {
-            engine: "prop".into(),
-            runs: 400,
+            job: Job { runs: 400, ..Job::new(EngineName::Prop) },
             timeout_ms: 25,
             payload: payload.clone(),
             wait: true,
@@ -181,8 +181,7 @@ fn daemon_cancel_and_timeout_report_partial_results() {
     // level boundaries) and still reports a usable cut.
     let resp = client
         .submit(&SubmitRequest {
-            engine: "ml".into(),
-            runs: 4000,
+            job: Job { runs: 4000, ..Job::new(EngineName::Ml) },
             timeout_ms: 25,
             payload: payload.clone(),
             wait: true,
@@ -200,8 +199,7 @@ fn daemon_cancel_and_timeout_report_partial_results() {
     // An explicit cancel is reported as cancelled, not timed out.
     let resp = client
         .submit(&SubmitRequest {
-            engine: "prop".into(),
-            runs: 400,
+            job: Job { runs: 400, ..Job::new(EngineName::Prop) },
             payload,
             ..SubmitRequest::default()
         })

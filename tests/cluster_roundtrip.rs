@@ -10,6 +10,7 @@
 //! loopback and compare against the library run in-process.
 
 use prop_core::{BalanceConstraint, Partitioner, Prop, PropConfig};
+use prop_engines::EngineName;
 use prop_fm::FmBucket;
 use prop_netlist::format;
 use prop_netlist::generate::{generate, GeneratorConfig};
@@ -118,7 +119,7 @@ impl Cluster {
 fn sweep_spec() -> BatchRequest {
     BatchRequest {
         circuit_id: "rt".into(),
-        engines: vec!["prop".into(), "fm".into()],
+        engines: vec![EngineName::Prop, EngineName::Fm],
         eps: vec![(0.45, 0.55)],
         runs: RUNS,
         seed: SEED,
@@ -283,7 +284,7 @@ fn cancel_fans_out_and_evict_is_refused_while_running() {
     let resp = client
         .batch(&BatchRequest {
             circuit_id: "rt".into(),
-            engines: vec!["prop".into()],
+            engines: vec![EngineName::Prop],
             runs: 400,
             seed: SEED,
             chunk: 1,

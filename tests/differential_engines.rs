@@ -18,7 +18,7 @@
 //!   per-move invariant from scratch, panicking on the first drift.
 
 use prop_suite::core::{
-    cut_cost, BalanceConstraint, ParallelPolicy, Partitioner, Prop, PropConfig, RunBudget,
+    cut_cost, BalanceConstraint, ParallelPolicy, Partitioner, Prop, PropConfig,
     SelectionBackend,
 };
 use prop_suite::fm::{FmBucket, FmTree};
@@ -102,21 +102,19 @@ fn prop_matches_reference_across_thread_counts() {
     let g = circuit(7);
     let fast = Prop::new(PropConfig::default());
     let slow = ReferenceProp::new(PropConfig::default());
-    let sequential = RunBudget::new(6).with_seed(3).execute(&slow, &g, balance).unwrap();
+    let sequential = slow.run_multi(&g, balance, 6, 3).unwrap();
     for threads in [1, 2, 3, 8] {
-        let budget = RunBudget::new(6).with_seed(3).with_threads(threads);
-        let a = budget.execute(&fast, &g, balance).unwrap();
+        let policy = ParallelPolicy::Threads(threads);
+        let a = fast.run_multi_parallel(&g, balance, 6, 3, policy).unwrap();
         assert_eq!(
             a, sequential,
             "{threads}-thread engine vs sequential reference"
         );
-        let b = budget.execute(&slow, &g, balance).unwrap();
+        let b = slow.run_multi_parallel(&g, balance, 6, 3, policy).unwrap();
         assert_eq!(b, sequential, "{threads}-thread reference vs sequential");
     }
-    let auto = RunBudget::new(6)
-        .with_seed(3)
-        .with_policy(ParallelPolicy::Auto)
-        .execute(&fast, &g, balance)
+    let auto = fast
+        .run_multi_parallel(&g, balance, 6, 3, ParallelPolicy::Auto)
         .unwrap();
     assert_eq!(auto, sequential);
 }
@@ -353,12 +351,10 @@ mod audited {
         let prop = Prop::new(PropConfig::default());
         let (auditor, _) = OracleAuditor::new();
         let sequential = audited(Box::new(auditor), || {
-            RunBudget::new(4).with_seed(9).execute(&prop, &g, balance).unwrap()
+            prop.run_multi(&g, balance, 4, 9).unwrap()
         });
-        let parallel = RunBudget::new(4)
-            .with_seed(9)
-            .with_threads(4)
-            .execute(&prop, &g, balance)
+        let parallel = prop
+            .run_multi_parallel(&g, balance, 4, 9, ParallelPolicy::Threads(4))
             .unwrap();
         assert_eq!(sequential, parallel);
     }

@@ -1,20 +1,25 @@
-//! One engine registry, three surfaces.
+//! One engine registry, three surfaces, one job path.
 //!
 //! For every registered iterative engine, the library build
-//! (`prop_engines`), the `prop` CLI's dispatch (`prop_cli::run_method` /
-//! `run_kway`) and a live daemon must agree bit for bit at k = 2 and at
-//! k = 4 uniform. Every one-shot global name is refused by the daemon and
-//! by the k-way path with a typed error, and an unknown name by every
-//! surface. The CLI runs every engine at its default thread policy and
-//! at `--threads 1` and `2`, which must change nothing.
+//! (`prop_engines`), the `prop` CLI (argv parsed by `prop_cli::parse_args`
+//! into a `prop_engines::Job`, run by `Job::run` at the CLI's thread
+//! policy, as `prop partition` does) and a live daemon must agree bit for
+//! bit at k = 2 and at k = 4 uniform. Every one-shot global name is
+//! refused by the daemon and by the k-way path with a typed error, and an
+//! unknown name by every surface. The CLI runs every engine at its
+//! default thread policy and at `--threads 1` and `2`, which must change
+//! nothing.
 
-use prop_cli::{run_kway, run_method};
-use prop_core::{partition_kway, BalanceConstraint, KwayConfig};
-use prop_engines::{EngineName, EngineSpec};
-use prop_multilevel::MultilevelConfig;
+use prop_cli::{parse_args, resolve_threads, Command};
+use prop_core::{
+    partition_kway, BalanceConstraint, CancelToken, KwayConfig, KwayReport, MultiRunReport,
+    ParallelPolicy,
+};
+use prop_engines::{EngineName, EngineSpec, Job, JobReport};
 use prop_netlist::format;
 use prop_netlist::generate::{generate, GeneratorConfig};
-use prop_serve::{engine, server, Client, Json, ServerConfig, SubmitRequest};
+use prop_netlist::Hypergraph;
+use prop_serve::{engine, server, wire, Client, Json, ServerConfig, SubmitRequest};
 
 const RUNS: usize = 2;
 const SEED: u64 = 17;
@@ -23,18 +28,61 @@ const SEED: u64 = 17;
 /// CPU), one thread, and two.
 const CLI_THREADS: [Option<usize>; 3] = [None, Some(1), Some(2)];
 
+/// Submits `RUNS` runs of `engine` into `k` parts. The line is built by
+/// hand so names the wire refuses can be sent too.
 fn submit(client: &mut Client, engine: &str, payload: &str, k: usize) -> Json {
-    client
-        .submit(&SubmitRequest {
-            engine: engine.into(),
+    let line = SubmitRequest {
+        job: Job {
             runs: RUNS,
             seed: SEED,
-            payload: payload.into(),
-            wait: true,
             k,
-            ..SubmitRequest::default()
-        })
-        .unwrap()
+            ..Job::default()
+        },
+        payload: payload.into(),
+        wait: true,
+        ..SubmitRequest::default()
+    }
+    .render()
+    .replacen("engine=prop", &format!("engine={engine}"), 1);
+    client.roundtrip(&line).unwrap()
+}
+
+/// Parses `prop partition g.hgr --method <method> --runs RUNS --seed SEED`
+/// plus `extra`, and the `--threads` setting, the way the CLI does.
+fn cli_job(method: &str, extra: &[&str], threads: Option<usize>) -> Result<(Job, ParallelPolicy), i32> {
+    let mut args: Vec<String> = ["partition", "g.hgr", "--method", method, "--runs"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    args.extend([RUNS.to_string(), "--seed".into(), SEED.to_string()]);
+    args.extend(extra.iter().map(|s| s.to_string()));
+    if let Some(n) = threads {
+        args.extend(["--threads".into(), n.to_string()]);
+    }
+    match parse_args(&args).map_err(|e| e.code)? {
+        Command::Partition { job, threads, .. } => Ok((job, resolve_threads(threads))),
+        other => panic!("expected partition, got {other:?}"),
+    }
+}
+
+/// Runs a CLI-parsed job on `graph`.
+fn cli_run(graph: &Hypergraph, method: &str, extra: &[&str], threads: Option<usize>) -> JobReport {
+    let (job, policy) = cli_job(method, extra, threads).unwrap();
+    job.run(graph, policy, &CancelToken::new()).unwrap()
+}
+
+fn two_way(report: JobReport) -> MultiRunReport {
+    match report {
+        JobReport::TwoWay(report) => report,
+        JobReport::Kway(_) => panic!("expected a bipartition"),
+    }
+}
+
+fn kway(report: JobReport) -> KwayReport {
+    match report {
+        JobReport::Kway(report) => report,
+        JobReport::TwoWay(_) => panic!("expected a k-way partition"),
+    }
 }
 
 fn number(response: &Json, key: &str) -> f64 {
@@ -91,7 +139,7 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
             engine::assignment_hash(direct.partition.sides()),
         );
         for threads in CLI_THREADS {
-            let cli = run_method(name.as_str(), &graph, balance, RUNS, SEED, threads).unwrap();
+            let cli = two_way(cli_run(&graph, name.as_str(), &[], threads)).result;
             let cli = (
                 cli.cut_cost,
                 cli.run_cuts,
@@ -135,20 +183,7 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
             engine::kway_assignment_hash(direct.assignment()),
         );
         for threads in CLI_THREADS {
-            let cli = run_kway(
-                name.as_str(),
-                &graph,
-                4,
-                None,
-                0.45,
-                0.55,
-                RUNS,
-                SEED,
-                threads,
-                MultilevelConfig::default(),
-            )
-            .unwrap()
-            .partition;
+            let cli = kway(cli_run(&graph, name.as_str(), &["--k", "4"], threads)).partition;
             let cli = (
                 cli.cut_cost(&graph),
                 cli.connectivity_cost(&graph),
@@ -200,29 +235,22 @@ fn global_and_unknown_names_are_refused_with_typed_errors() {
             let message = response.get("message").and_then(Json::as_str).unwrap();
             assert!(message.contains(&served_list), "{name}: {message}");
         }
-        let kway = run_kway(
-            name,
-            &graph,
-            4,
-            None,
-            0.45,
-            0.55,
-            RUNS,
-            SEED,
-            None,
-            MultilevelConfig::default(),
-        );
-        assert_eq!(kway.unwrap_err().code, 2, "{name}: k-way CLI");
+        let kway = cli_job(name, &["--k", "4"], None);
+        assert_eq!(kway.unwrap_err(), 2, "{name}: k-way CLI");
     }
 
     assert!("nope".parse::<EngineName>().is_err());
-    let cli = run_method("nope", &graph, balance, RUNS, SEED, None);
-    assert_eq!(cli.unwrap_err().code, 2);
-    let cancel = prop_core::CancelToken::new();
-    let library = engine::execute(EngineName::Eig1, &graph, balance, RUNS, SEED, &cancel);
-    assert!(
-        library.is_err(),
-        "the daemon's execute path runs iterative engines only"
+    assert_eq!(cli_job("nope", &[], None).unwrap_err(), 2);
+    // A one-shot method still runs through the CLI's 2-way job path, but
+    // the daemon's parse refuses it before any job is built.
+    let global = two_way(cli_run(&graph, "eig1", &[], None)).result;
+    assert!(global.partition.is_balanced(balance));
+    let line = format!("submit engine=eig1 runs={RUNS} payload=x");
+    let refused = wire::parse_request(&line).unwrap_err();
+    assert_eq!(
+        refused.code(),
+        "unknown_engine",
+        "the daemon runs iterative engines only"
     );
 
     client.shutdown().unwrap();

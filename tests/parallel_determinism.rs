@@ -4,8 +4,7 @@
 //! algorithm.
 
 use prop_suite::core::{
-    BalanceConstraint, ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig,
-    RunBudget, Side,
+    BalanceConstraint, ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig, Side,
 };
 use prop_suite::fm::FmBucket;
 use prop_suite::netlist::generate::{generate, GeneratorConfig};
@@ -76,19 +75,17 @@ fn golden_trace_is_stable() {
 }
 
 #[test]
-fn run_budget_zero_runs_is_rejected() {
+fn zero_runs_are_rejected() {
     let graph = generate(&GeneratorConfig::new(60, 70, 230).with_seed(2)).unwrap();
     let balance = BalanceConstraint::bisection(60);
-    let err = RunBudget::new(0)
-        .execute(&Prop::default(), &graph, balance)
-        .unwrap_err();
+    let err = Prop::default().run_multi(&graph, balance, 0, 0).unwrap_err();
     assert!(matches!(err, PartitionError::InvalidConfig { .. }));
 }
 
-/// A best-of-1 budget is exactly one seeded run, whatever the thread
-/// policy, and `run_seeded` agrees with it.
+/// A best-of-1 harness call is exactly one seeded run, whatever the
+/// thread policy, and `run_seeded` agrees with it.
 #[test]
-fn run_budget_single_run_matches_run_seeded() {
+fn single_run_matches_run_seeded() {
     let graph = generate(&GeneratorConfig::new(60, 70, 230).with_seed(2)).unwrap();
     let balance = BalanceConstraint::bisection(60);
     let prop = Prop::new(PropConfig::calibrated());
@@ -99,13 +96,11 @@ fn run_budget_single_run_matches_run_seeded() {
         ParallelPolicy::Threads(8),
         ParallelPolicy::Auto,
     ] {
-        let budgeted = RunBudget::new(1)
-            .with_seed(31)
-            .with_policy(policy)
-            .execute(&prop, &graph, balance)
+        let single = prop
+            .run_multi_parallel(&graph, balance, 1, 31, policy)
             .unwrap();
-        assert_eq!(budgeted, direct, "{policy:?}");
-        assert_eq!(budgeted.run_cuts.len(), 1);
+        assert_eq!(single, direct, "{policy:?}");
+        assert_eq!(single.run_cuts.len(), 1);
     }
 }
 
@@ -131,26 +126,23 @@ fn more_threads_than_runs_is_bit_identical() {
 /// parallel result must equal the audited sequential one bit-for-bit.
 #[cfg(feature = "debug-audit")]
 #[test]
-fn audited_budget_matches_unaudited_and_parallel() {
+fn audited_runs_match_unaudited_and_parallel() {
     use prop_suite::verify::{audited, OracleAuditor};
 
     let graph = generate(&GeneratorConfig::new(90, 100, 340).with_seed(6)).unwrap();
     let balance = BalanceConstraint::new(0.45, 0.55, 90).unwrap();
     let prop = Prop::new(PropConfig::calibrated());
-    let budget = RunBudget::new(4).with_seed(3);
 
-    let unaudited = budget.execute(&prop, &graph, balance).unwrap();
+    let unaudited = prop.run_multi(&graph, balance, 4, 3).unwrap();
     let (auditor, stats) = OracleAuditor::new();
     let audited_result =
-        audited(Box::new(auditor), || budget.execute(&prop, &graph, balance)).unwrap();
+        audited(Box::new(auditor), || prop.run_multi(&graph, balance, 4, 3)).unwrap();
     assert_eq!(audited_result, unaudited);
     assert!(stats.borrow().passes > 0, "auditor saw no passes");
 
     let (auditor, _) = OracleAuditor::new();
     let parallel = audited(Box::new(auditor), || {
-        budget
-            .with_policy(ParallelPolicy::Threads(4))
-            .execute(&prop, &graph, balance)
+        prop.run_multi_parallel(&graph, balance, 4, 3, ParallelPolicy::Threads(4))
     })
     .unwrap();
     assert_eq!(parallel, unaudited);

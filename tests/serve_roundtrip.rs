@@ -9,6 +9,7 @@
 //! concurrent clients hammering one daemon.
 
 use prop_core::{BalanceConstraint, ParallelPolicy, Partitioner, Prop, PropConfig};
+use prop_engines::{EngineName, EngineSpec, Job, JobReport};
 use prop_fm::FmBucket;
 use prop_multilevel::{Multilevel, MultilevelConfig};
 use prop_netlist::format;
@@ -46,6 +47,15 @@ fn direct_expectation(engine_name: &str, graph: &prop_netlist::Hypergraph) -> (f
     (result.cut_cost, result.run_cuts, hash)
 }
 
+/// `RUNS` runs of `engine_name` from `SEED`, in two parts.
+fn job(engine_name: &str) -> Job {
+    Job {
+        runs: RUNS,
+        seed: SEED,
+        ..Job::new(engine_name.parse().unwrap())
+    }
+}
+
 fn submit_via_daemon(
     addr: std::net::SocketAddr,
     engine_name: &str,
@@ -54,9 +64,7 @@ fn submit_via_daemon(
     submit_request(
         addr,
         &SubmitRequest {
-            engine: engine_name.into(),
-            runs: RUNS,
-            seed: SEED,
+            job: job(engine_name),
             payload: payload.into(),
             wait: true,
             ..SubmitRequest::default()
@@ -67,7 +75,7 @@ fn submit_via_daemon(
 /// Submits one waiting request and returns (cut, run_cuts, assignment
 /// hash) from its completed response.
 fn submit_request(addr: std::net::SocketAddr, request: &SubmitRequest) -> (f64, Vec<f64>, u64) {
-    let engine_name = &request.engine;
+    let engine_name = request.job.spec.name;
     let mut client = Client::connect(addr).unwrap();
     let response = client.submit(request).unwrap();
     assert_eq!(
@@ -177,18 +185,18 @@ fn submit_kway_via_daemon(
     engine_name: &str,
     payload: &str,
     k: usize,
-    budgets: Vec<f64>,
+    budgets: Option<Vec<f64>>,
 ) -> (f64, f64, u64, Vec<f64>, u64) {
     let mut client = Client::connect(addr).unwrap();
     let response = client
         .submit(&SubmitRequest {
-            engine: engine_name.into(),
-            runs: RUNS,
-            seed: SEED,
+            job: Job {
+                k,
+                budgets,
+                ..job(engine_name)
+            },
             payload: payload.into(),
             wait: true,
-            k,
-            budgets,
             ..SubmitRequest::default()
         })
         .unwrap();
@@ -229,23 +237,20 @@ fn kway_submissions_are_bit_identical_to_the_direct_driver() {
     let total: f64 = graph.nodes().map(|v| graph.node_weight(v)).sum();
     let budgets = vec![total * 0.4, total * 0.25, total * 0.25, total * 0.2];
 
-    for (engine_name, budget_set) in [("ml", Vec::new()), ("prop", budgets.clone())] {
+    for (engine_name, budget_set) in [("ml", None), ("prop", Some(budgets.clone()))] {
         let served =
             submit_kway_via_daemon(handle.addr(), engine_name, &payload, 4, budget_set.clone());
         let token = prop_core::CancelToken::new();
-        let report = engine::execute_kway(
-            engine_name.parse().unwrap(),
-            &graph,
-            4,
-            (!budget_set.is_empty()).then(|| budget_set.clone()),
-            0.45,
-            0.55,
-            RUNS,
-            SEED,
-            &token,
-            MultilevelConfig::default(),
-        )
+        let direct = Job {
+            k: 4,
+            budgets: budget_set.clone(),
+            ..job(engine_name)
+        }
+        .run(&graph, ParallelPolicy::Sequential, &token)
         .unwrap();
+        let JobReport::Kway(report) = direct else {
+            panic!("a k = 4 job runs the k-way driver")
+        };
         let expect = (
             report.partition.cut_cost(&graph),
             report.partition.connectivity_cost(&graph),
@@ -257,8 +262,8 @@ fn kway_submissions_are_bit_identical_to_the_direct_driver() {
             served, expect,
             "daemon k-way diverged from the direct driver for {engine_name}"
         );
-        if !budget_set.is_empty() {
-            for (w, b) in served.3.iter().zip(&budget_set) {
+        if let Some(budget_set) = &budget_set {
+            for (w, b) in served.3.iter().zip(budget_set) {
                 assert!(w <= b, "served part weight {w} exceeds budget {b}");
             }
         }
@@ -295,12 +300,18 @@ fn ml_coarsest_below_two_acts_as_two_through_the_daemon() {
         submit_request(
             handle.addr(),
             &SubmitRequest {
-                engine: "ml".into(),
-                runs: RUNS,
-                seed: SEED,
+                job: Job {
+                    spec: EngineSpec {
+                        name: EngineName::Ml,
+                        ml: MultilevelConfig {
+                            coarsest_nodes: ml_coarsest,
+                            ..MultilevelConfig::default()
+                        },
+                    },
+                    ..job("ml")
+                },
                 payload: payload.clone(),
                 wait: true,
-                ml_coarsest,
                 ..SubmitRequest::default()
             },
         )
