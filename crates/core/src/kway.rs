@@ -39,7 +39,7 @@
 use crate::balance::BalanceConstraint;
 use crate::cancel::CancelToken;
 use crate::error::PartitionError;
-use crate::parallel::{join_profiled, spawn_profiled, ParallelPolicy, RunStatus};
+use crate::parallel::{check_job_rules, join_profiled, spawn_profiled, ParallelPolicy, RunStatus};
 use crate::partition::{Bipartition, Side, SideWeights};
 use crate::partitioner::{ImproveStats, Partitioner};
 use crate::seed::salted_stream_seed;
@@ -278,24 +278,13 @@ pub fn partition_kway_cancellable<P: Partitioner + ?Sized>(
             message: format!("cannot split {n} nodes into {k} parts"),
         });
     }
-    if config.runs == 0 {
-        return Err(PartitionError::InvalidConfig {
-            message: "runs must be at least 1".into(),
-        });
-    }
-    // Validate the ratios once up front.
-    let _ = BalanceConstraint::new(config.r1, config.r2, n)?;
+    check_job_rules(
+        config.runs,
+        Some((config.r1, config.r2)),
+        k,
+        config.budgets.as_deref(),
+    )?;
     if let Some(budgets) = &config.budgets {
-        if budgets.len() != k {
-            return Err(PartitionError::InvalidConfig {
-                message: format!("{} budgets supplied for k = {k} parts", budgets.len()),
-            });
-        }
-        if budgets.iter().any(|b| !b.is_finite() || *b <= 0.0) {
-            return Err(PartitionError::InvalidConfig {
-                message: "budgets must be finite and positive".into(),
-            });
-        }
         let total = graph.total_node_weight();
         let sum: f64 = budgets.iter().sum();
         if sum < total - WEIGHT_EPS {

@@ -71,7 +71,7 @@ pub use kway::{
     partition_kway, partition_kway_cancellable, recursive_bisection, KwayConfig, KwayPartition,
     KwayReport,
 };
-pub use parallel::{MultiRunReport, ParallelPolicy, RunStatus};
+pub use parallel::{check_job_rules, MultiRunReport, ParallelPolicy, RunStatus};
 pub use partition::{Bipartition, Side, SideWeights};
 pub use partitioner::{GlobalPartitioner, ImproveStats, Partitioner, RunResult};
 pub use prop::{GainInit, NetHot, PassTrace, Prop, PropConfig, SelectionBackend};

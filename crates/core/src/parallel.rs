@@ -160,6 +160,38 @@ fn execute_run<P: Partitioner + ?Sized>(
     }
 }
 
+/// The graph-free rules every job surface shares, written once: at
+/// least one run, and — where the caller has them — a satisfiable
+/// `(r1, r2)` window and one finite, positive budget per part of `k`.
+///
+/// # Errors
+///
+/// [`PartitionError::InvalidConfig`] for the runs and budget rules,
+/// [`PartitionError::InvalidBalance`] for the window.
+pub fn check_job_rules(
+    runs: usize,
+    ratios: Option<(f64, f64)>,
+    k: usize,
+    budgets: Option<&[f64]>,
+) -> Result<(), PartitionError> {
+    let invalid = |message: String| Err(PartitionError::InvalidConfig { message });
+    if runs == 0 {
+        return invalid("runs must be at least 1".into());
+    }
+    if let Some(budgets) = budgets {
+        if budgets.len() != k {
+            return invalid(format!("{} budgets for k = {k} parts", budgets.len()));
+        }
+        if budgets.iter().any(|b| !b.is_finite() || *b <= 0.0) {
+            return invalid("budgets must be finite and positive".into());
+        }
+    }
+    if let Some((r1, r2)) = ratios {
+        BalanceConstraint::new(r1, r2, 0)?;
+    }
+    Ok(())
+}
+
 /// The one multi-start harness, behind every `run_multi*` entry point of
 /// [`Partitioner`].
 ///
@@ -190,11 +222,8 @@ pub(crate) fn run_multi_cancellable<P: Partitioner + ?Sized>(
     if graph.num_nodes() == 0 {
         return Err(PartitionError::EmptyGraph);
     }
-    if runs == 0 {
-        return Err(PartitionError::InvalidConfig {
-            message: "runs must be at least 1".into(),
-        });
-    }
+    // `balance` is already built, so only the runs rule applies here.
+    check_job_rules(runs, None, 2, None)?;
 
     let workers = policy.worker_count(runs);
     let outcomes: Vec<RunOutcome> = if workers <= 1 {

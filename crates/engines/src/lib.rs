@@ -36,9 +36,9 @@
 #![warn(missing_docs)]
 
 use prop_core::{
-    partition_kway_cancellable, BalanceConstraint, CancelToken, GlobalPartitioner, KwayConfig,
-    KwayReport, MultiRunReport, ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig,
-    RunStatus,
+    check_job_rules, partition_kway_cancellable, BalanceConstraint, CancelToken, GlobalPartitioner,
+    KwayConfig, KwayReport, MultiRunReport, ParallelPolicy, PartitionError, Partitioner, Prop,
+    PropConfig, RunStatus,
 };
 use prop_fm::{FmBucket, FmTree, Kl, La, SimulatedAnnealing};
 use prop_multilevel::{Multilevel, MultilevelConfig};
@@ -330,22 +330,19 @@ impl Job {
     /// [`JobError::Invalid`] naming the broken rule.
     pub fn validate(&self) -> Result<(), JobError> {
         let invalid = |message: String| Err(JobError::Invalid(message));
-        if self.runs == 0 {
-            return invalid("runs must be at least 1".into());
+        let rules = check_job_rules(
+            self.runs,
+            Some((self.r1, self.r2)),
+            self.k,
+            self.budgets.as_deref(),
+        );
+        match rules {
+            Ok(()) => {}
+            Err(PartitionError::InvalidConfig { message }) => return invalid(message),
+            Err(e) => return invalid(e.to_string()),
         }
         if self.k < 2 {
             return invalid("k must be at least 2".into());
-        }
-        if let Some(budgets) = &self.budgets {
-            if budgets.len() != self.k {
-                return invalid(format!("{} budgets for k = {} parts", budgets.len(), self.k));
-            }
-            if budgets.iter().any(|b| !b.is_finite() || *b <= 0.0) {
-                return invalid("budgets must be finite and positive".into());
-            }
-        }
-        if let Err(e) = BalanceConstraint::new(self.r1, self.r2, 0) {
-            return invalid(e.to_string());
         }
         if self.is_kway() && !self.spec.name.is_iterative() {
             return invalid(format!(

@@ -44,8 +44,9 @@
 //!   bit-identical and the cut matches the independent k-way oracle.
 //!   `--large` extends the set with golem3.
 //! * `--io` — loader benchmark instead of partitioning: for each circuit,
-//!   time hgr text parse+build against the `.hgb` snapshot load (mmap
-//!   open + validation, after which the zero-copy view is queryable),
+//!   time hgr text parse+build against the `.hgb` snapshot load
+//!   (`load_hgb`: mmap open + validation, after which the graph runs on
+//!   the mapped image),
 //!   emit `method: "load"` rows carrying `parse_ms`/`load_ms`, and fail
 //!   unless the golem-tier circuits load at least 10x faster from the
 //!   snapshot. `--large` extends the set with golem3 and golem4.
@@ -446,9 +447,9 @@ fn profile(circuits: &[&str], runs: usize, method: &str, partitioner: &dyn Parti
 
 /// `--io` mode: the loader benchmark. Each circuit is rendered to hgr
 /// text and written as a `.hgb` snapshot in a scratch dir; the row then
-/// times text parse+build against the mmap `.hgb` load (open + deep
-/// validate + materialize) on identical content — the two graphs are
-/// asserted equal before either timing is trusted. Golem-tier circuits
+/// times text parse+build against `load_hgb` (open + deep validation,
+/// the whole load of a `.hgb` job) on identical content — the two graphs
+/// are asserted equal before either timing is trusted. Golem-tier circuits
 /// must clear [`IO_SPEEDUP_FLOOR`].
 fn run_io(circuits: &[&str], threads_avail: usize, label: Option<&str>) {
     let dir = std::env::temp_dir().join(format!("prop-bench-io-{}", std::process::id()));
@@ -475,32 +476,25 @@ fn run_io(circuits: &[&str], threads_avail: usize, label: Option<&str>) {
         }
         let parsed = parsed.expect("three parses ran");
 
-        // The snapshot load: open (mmap) + structural parse + deep
-        // validation. At this point the circuit is fully queryable through
-        // the zero-copy CSR view without having allocated anything — that
-        // is the claim of the binary format, and the apples-to-apples
-        // counterpart of "text parse+build to a queryable graph" above.
+        // The snapshot load, as every `.hgb` job pays it: `load_hgb` end
+        // to end (open, structural parse, deep validation), after which
+        // the graph runs on the file's image in place.
         let mut load_ms = f64::INFINITY;
-        let mut file = hgb::HgbFile::open(&path).expect("open snapshot");
+        let mut loaded = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let reopened = hgb::HgbFile::open(&path).expect("open snapshot");
-            let view = reopened.view().expect("structural parse");
-            view.validate().expect("deep validation");
+            let load = hgb::load_hgb(&path).expect("load snapshot");
             load_ms = load_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            file = reopened;
+            loaded = Some(load);
         }
-        let view = file.view().expect("structural parse");
+        let (loaded, report) = loaded.expect("three loads ran");
 
-        // Untimed correctness anchor: the two paths materialize the same
-        // graph.
-        let loaded = view.to_hypergraph().expect("materialize");
-        assert_eq!(parsed, loaded, "{name}: text and .hgb materialize differently");
+        // Untimed correctness anchor: the two paths give the same graph.
+        assert_eq!(parsed, loaded, "{name}: text and .hgb load differently");
         let speedup = parse_ms / load_ms.max(1e-6);
         println!(
             "  {name}: parse {parse_ms:.1}ms, {} load {load_ms:.1}ms ({speedup:.1}x, {} bytes)",
-            file.mode(),
-            file.bytes().len()
+            report.mode, report.bytes
         );
         if name.starts_with("golem") && speedup < IO_SPEEDUP_FLOOR {
             eprintln!("  FAIL {name}: {speedup:.1}x < required {IO_SPEEDUP_FLOOR}x");

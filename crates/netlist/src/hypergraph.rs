@@ -1,6 +1,7 @@
 //! The immutable CSR hypergraph and its builder.
 
 use crate::error::NetlistError;
+use crate::hgb::Array;
 use crate::ids::{NetId, NodeId};
 use crate::stats::Stats;
 
@@ -12,92 +13,35 @@ use crate::stats::Stats;
 /// `f64` weight (the paper's net cost `c(nt)`; 1.0 for pure min-cut,
 /// criticality-derived for timing-driven partitioning).
 ///
-/// Construct via [`HypergraphBuilder`].
+/// Construct via [`HypergraphBuilder`], or load a `.hgb` snapshot
+/// ([`hgb::load_hgb`]): each CSR array is then a section of the
+/// validated file image, used in place. Accessors are the same either way.
 ///
 /// [`nets_of`]: Hypergraph::nets_of
 /// [`pins_of`]: Hypergraph::pins_of
+/// [`hgb::load_hgb`]: crate::hgb::load_hgb
 #[derive(Clone, PartialEq, Debug)]
 pub struct Hypergraph {
     /// `node_offsets[v]..node_offsets[v+1]` indexes `node_pins`.
-    node_offsets: Vec<u32>,
+    pub(crate) node_offsets: Array<u32>,
     /// Concatenated incident-net lists, one slice per node.
-    node_pins: Vec<NetId>,
+    pub(crate) node_pins: Array<NetId>,
     /// `net_offsets[e]..net_offsets[e+1]` indexes `net_pins`.
-    net_offsets: Vec<u32>,
+    pub(crate) net_offsets: Array<u32>,
     /// Concatenated pin lists, one slice per net.
-    net_pins: Vec<NodeId>,
+    pub(crate) net_pins: Array<NodeId>,
     /// Per-net cost `c(nt)`, finite and `> 0`.
-    net_weights: Vec<f64>,
+    pub(crate) net_weights: Array<f64>,
     /// Per-node size/area, finite and `> 0`. `None` means all nodes have
     /// unit size (the paper's default assumption).
-    node_weights: Option<Vec<f64>>,
-    /// Optional human-readable node names (e.g. from a named netlist file).
-    node_names: Option<Vec<String>>,
+    pub(crate) node_weights: Option<Array<f64>>,
+    /// Optional human-readable node names (e.g. from a named netlist
+    /// file), laid out as on disk: `(offsets, bytes)`, name `v` being
+    /// the UTF-8 run `bytes[offsets[v]..offsets[v+1]]`.
+    pub(crate) node_names: Option<(Array<u32>, Array<u8>)>,
 }
 
 impl Hypergraph {
-    /// Assembles a hypergraph directly from pre-validated CSR arrays,
-    /// bypassing the builder's counting-sort transpose. Used by the `.hgb`
-    /// loader, which stores *both* CSR directions in the file; the caller
-    /// (the hgb module) is responsible for having validated monotonicity,
-    /// bounds, weights, and degree agreement between the directions.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_validated_parts(
-        node_offsets: Vec<u32>,
-        node_pins: Vec<NetId>,
-        net_offsets: Vec<u32>,
-        net_pins: Vec<NodeId>,
-        net_weights: Vec<f64>,
-        node_weights: Option<Vec<f64>>,
-        node_names: Option<Vec<String>>,
-    ) -> Hypergraph {
-        Hypergraph {
-            node_offsets,
-            node_pins,
-            net_offsets,
-            net_pins,
-            net_weights,
-            node_weights,
-            node_names,
-        }
-    }
-
-    /// Raw node→net CSR offsets (`num_nodes + 1` entries). Snapshot access
-    /// for the `.hgb` writer.
-    pub(crate) fn raw_node_offsets(&self) -> &[u32] {
-        &self.node_offsets
-    }
-
-    /// Raw concatenated incident-net lists.
-    pub(crate) fn raw_node_pins(&self) -> &[NetId] {
-        &self.node_pins
-    }
-
-    /// Raw net→node CSR offsets (`num_nets + 1` entries).
-    pub(crate) fn raw_net_offsets(&self) -> &[u32] {
-        &self.net_offsets
-    }
-
-    /// Raw concatenated pin lists.
-    pub(crate) fn raw_net_pins(&self) -> &[NodeId] {
-        &self.net_pins
-    }
-
-    /// Raw per-net weights.
-    pub(crate) fn raw_net_weights(&self) -> &[f64] {
-        &self.net_weights
-    }
-
-    /// Raw per-node weights, if any were set.
-    pub(crate) fn raw_node_weights(&self) -> Option<&[f64]> {
-        self.node_weights.as_deref()
-    }
-
-    /// Raw node names, if any were set.
-    pub(crate) fn raw_node_names(&self) -> Option<&[String]> {
-        self.node_names.as_deref()
-    }
-
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -222,9 +166,9 @@ impl Hypergraph {
 
     /// The name of `node`, if names were provided at build/parse time.
     pub fn node_name(&self, node: NodeId) -> Option<&str> {
-        self.node_names
-            .as_ref()
-            .map(|names| names[node.index()].as_str())
+        let (offsets, bytes) = self.node_names.as_ref()?;
+        let run = &bytes[offsets[node.index()] as usize..offsets[node.index() + 1] as usize];
+        Some(std::str::from_utf8(run).expect("node names are validated UTF-8"))
     }
 
     /// Iterator over all node ids `0..n`.
@@ -527,14 +471,24 @@ impl HypergraphBuilder {
                 cursor[pin.index()] += 1;
             }
         }
+        let node_names = self.node_names.map(|names| {
+            let mut offsets = Vec::with_capacity(n + 1);
+            offsets.push(0u32);
+            let mut bytes = Vec::new();
+            for name in names {
+                bytes.extend_from_slice(name.as_bytes());
+                offsets.push(u32::try_from(bytes.len()).expect("node names exceed u32::MAX bytes"));
+            }
+            (offsets.into(), bytes.into())
+        });
         Ok(Hypergraph {
-            node_offsets,
-            node_pins,
-            net_offsets: self.net_offsets,
-            net_pins: self.net_pins,
-            net_weights: self.net_weights,
-            node_weights: self.node_weights,
-            node_names: self.node_names,
+            node_offsets: node_offsets.into(),
+            node_pins: node_pins.into(),
+            net_offsets: self.net_offsets.into(),
+            net_pins: self.net_pins.into(),
+            net_weights: self.net_weights.into(),
+            node_weights: self.node_weights.map(Array::from),
+            node_names,
         })
     }
 }

@@ -8,6 +8,9 @@ use std::fmt;
 /// accidental mixing of node and net indices.
 ///
 /// [`Hypergraph`]: crate::Hypergraph
+// `repr(transparent)`: a `.hgb` pin section is read in place as
+// `[NodeId]` (see `hgb::raw::Pod`).
+#[repr(transparent)]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(u32);
 
@@ -16,6 +19,8 @@ pub struct NodeId(u32);
 /// Net ids are dense indices in `0..num_nets`.
 ///
 /// [`Hypergraph`]: crate::Hypergraph
+// `repr(transparent)`, as for `NodeId`.
+#[repr(transparent)]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NetId(u32);
 

@@ -6,11 +6,14 @@
 //!
 //! * [`Hypergraph`] — an immutable, cache-friendly CSR representation with
 //!   both directions of the pin relation (node → nets, net → nodes),
-//!   constructed through [`HypergraphBuilder`].
+//!   constructed through [`HypergraphBuilder`] or loaded from a `.hgb`
+//!   snapshot, whose sections it then uses in place.
 //! * [`Stats`] — the size parameters used throughout the DAC-96 paper
 //!   (`n`, `e`, `p`, `q`, `d`, `m`).
 //! * [`mod@format`] — parsing and writing of the hMETIS-style `.hgr` text format
 //!   and a small named netlist format.
+//! * [`hgb`] — the binary `.hgb` snapshot: writer, mmap loader, and
+//!   validation.
 //! * [`generate`] — a seeded synthetic circuit generator with planted
 //!   hierarchical cluster structure, used as a stand-in for the ACM/SIGDA
 //!   benchmark circuits (which are not redistributable).
@@ -35,9 +38,10 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: the one unsafe-containing module (the `.hgb`
-// mmap binding + slice reinterpretation in `hgb::raw`) opts back in with
-// a scoped `#[allow(unsafe_code)]`; everything else stays unsafe-free.
+// `deny`, not `forbid`: the one unsafe-containing module (`hgb::raw`:
+// the mmap binding and the CSR `Array` that reads image sections in
+// place) opts back in with a scoped `#[allow(unsafe_code)]`; everything
+// else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -5,9 +5,12 @@
 //! Circuits persist as canonical `.hgb` snapshots under one store
 //! directory (`<dir>/<id>.hgb`), written atomically (temp file +
 //! `rename`) so a concurrent reader never observes a partial file — the
-//! invariant that makes handing out mmap-backed views of store files
-//! sound. A loaded circuit is cached as an `Arc<Hypergraph>` so the N
-//! jobs of a sweep share one materialized graph instead of N copies.
+//! invariant that makes building graphs on mappings of store files
+//! sound. A circuit is cached as an `Arc<Hypergraph>` built on the
+//! mapping of its store file, so the N jobs of a sweep share one mapped
+//! image instead of N copies; the mapping lives as long as the cache
+//! entry or a job holding it. The cache never holds a graph backed by a
+//! file outside the store.
 //!
 //! Circuit ids are restricted to `[A-Za-z0-9_.-]` with no leading dot:
 //! the id is used as a file name, and the alphabet rules out path
@@ -35,7 +38,7 @@ pub enum StoreError {
     /// The netlist bytes failed to parse or validate.
     Invalid(String),
     /// The circuit is pinned by queued or running work and cannot be
-    /// evicted — the eviction would unmap the file under a job.
+    /// evicted — a queued job would find its circuit gone.
     Busy(String),
     /// A filesystem operation failed.
     Io(String),
@@ -99,8 +102,9 @@ pub struct CircuitStore {
     cache: Mutex<HashMap<String, Arc<Hypergraph>>>,
     /// Reference counts of circuits held by queued or running work
     /// (jobs and batches). A pinned circuit refuses `evict` with
-    /// [`StoreError::Busy`] — a job must never partition against an
-    /// unmapped snapshot.
+    /// [`StoreError::Busy`] — work admitted against a circuit must find
+    /// it when it runs. (A running job's graph keeps its own mapping
+    /// alive, so eviction never unmaps a file under a job.)
     pins: Mutex<HashMap<String, usize>>,
 }
 
@@ -142,46 +146,37 @@ impl CircuitStore {
     }
 
     /// Persists `graph` under `id` (atomic temp-file + rename write of
-    /// the canonical `.hgb` image) and caches the materialized graph.
+    /// the canonical `.hgb` image) and caches the graph loaded back from
+    /// that store file. The given graph is dropped, so a graph mapped
+    /// from a client's file (a `path=` upload) is never cached.
     /// Re-uploading an id replaces its snapshot.
     pub fn put(&self, id: &str, graph: Hypergraph) -> Result<StoredCircuit, StoreError> {
         let path = self.file_of(id)?;
         std::fs::create_dir_all(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
-        let bytes = hgb::write_hgb(&graph);
-        let tmp = self.dir.join(format!(".{id}.hgb.tmp"));
-        std::fs::write(&tmp, &bytes).map_err(|e| StoreError::Io(e.to_string()))?;
-        if let Err(e) = std::fs::rename(&tmp, &path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(StoreError::Io(e.to_string()));
-        }
+        hgb::write_hgb_file(&graph, &path).map_err(|e| StoreError::Io(e.to_string()))?;
+        drop(graph);
+        let (graph, bytes) = load(id, &path)?;
         let info = StoredCircuit {
             id: id.to_string(),
             nodes: graph.num_nodes() as u64,
             nets: graph.num_nets() as u64,
             pins: graph.num_pins() as u64,
-            bytes: bytes.len() as u64,
+            bytes: bytes as u64,
             cached: true,
         };
         self.cache().insert(id.to_string(), Arc::new(graph));
         Ok(info)
     }
 
-    /// The materialized hypergraph for `id`: the cached `Arc` when the
-    /// circuit is warm, otherwise loaded from its `.hgb` snapshot (mmap
-    /// fast path) and cached for the next job in the sweep.
+    /// The hypergraph for `id`: the cached `Arc` when the circuit is
+    /// warm, otherwise mapped from its `.hgb` snapshot and cached for the
+    /// next job in the sweep.
     pub fn get(&self, id: &str) -> Result<Arc<Hypergraph>, StoreError> {
         let path = self.file_of(id)?;
         if let Some(graph) = self.cache().get(id) {
             return Ok(Arc::clone(graph));
         }
-        let (graph, _report) = hgb::load_hgb(&path).map_err(|e| match e {
-            hgb::HgbLoadError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
-                StoreError::Unknown(id.to_string())
-            }
-            hgb::HgbLoadError::Io(io) => StoreError::Io(io.to_string()),
-            hgb::HgbLoadError::Format(f) => StoreError::Invalid(f.to_string()),
-        })?;
-        let graph = Arc::new(graph);
+        let graph = Arc::new(load(id, &path)?.0);
         self.cache()
             .entry(id.to_string())
             .or_insert_with(|| Arc::clone(&graph));
@@ -305,7 +300,7 @@ impl CircuitStore {
     /// # Errors
     ///
     /// [`StoreError::Busy`] while the circuit is pinned by queued or
-    /// running work — eviction must never unmap a file under a job.
+    /// running work.
     pub fn evict(&self, id: &str) -> Result<bool, StoreError> {
         let path = self.file_of(id)?;
         if self.pinned(id) {
@@ -317,6 +312,19 @@ impl CircuitStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(cached),
             Err(e) => Err(StoreError::Io(e.to_string())),
         }
+    }
+}
+
+/// Maps and validates the store file of `id`, returning the graph built
+/// on it and the file's size in bytes.
+fn load(id: &str, path: &Path) -> Result<(Hypergraph, usize), StoreError> {
+    match hgb::load_hgb(path) {
+        Ok((graph, report)) => Ok((graph, report.bytes)),
+        Err(hgb::HgbLoadError::Io(io)) if io.kind() == std::io::ErrorKind::NotFound => {
+            Err(StoreError::Unknown(id.to_string()))
+        }
+        Err(hgb::HgbLoadError::Io(io)) => Err(StoreError::Io(io.to_string())),
+        Err(hgb::HgbLoadError::Format(f)) => Err(StoreError::Invalid(f.to_string())),
     }
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, test, lint. Run from the repo root.
 #
-#   scripts/check.sh                # tier-1 gates only (build, root and
-#                                   # CLI crate tests, clippy over every
+#   scripts/check.sh                # tier-1 gates only (build, root,
+#                                   # CLI, netlist and serve crate tests,
+#                                   # clippy over every
 #                                   # target (tests included), and a build
 #                                   # of benchmark/ and benchmark/trace/
 #                                   # plus bench's own unit tests)
@@ -111,6 +112,9 @@ cargo test -q
 # The CLI crate's own tests, including the closed-stdout test that spawns
 # the built `prop`.
 cargo test -q -p prop-cli
+# The graph storage, the .hgb loader (unit tests and the adversarial
+# fuzzer) and the daemon's circuit store live in these crates.
+cargo test -q -p prop-netlist -p prop-serve
 cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark is two workspaces of its own with path dependencies on
 # crates/: build both and run bench's unit tests, so an API or CLI change

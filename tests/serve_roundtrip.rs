@@ -12,9 +12,9 @@ use prop_core::{BalanceConstraint, ParallelPolicy, Partitioner, Prop, PropConfig
 use prop_engines::{EngineName, EngineSpec, Job, JobReport};
 use prop_fm::FmBucket;
 use prop_multilevel::{Multilevel, MultilevelConfig};
-use prop_netlist::format;
+use prop_netlist::{format, hgb};
 use prop_netlist::generate::{generate, GeneratorConfig};
-use prop_serve::{engine, server, Client, Json, ServerConfig, SubmitRequest};
+use prop_serve::{engine, server, Client, Json, ServerConfig, SubmitRequest, UploadRequest};
 use std::thread;
 
 const RUNS: usize = 3;
@@ -338,4 +338,59 @@ fn ml_coarsest_below_two_acts_as_two_through_the_daemon() {
     }
     Client::connect(handle.addr()).unwrap().shutdown().unwrap();
     handle.join();
+}
+
+/// A `path=` upload of a `.hgb` file is cached from the store's own copy,
+/// not from the client's file: rewriting that file in place (same length,
+/// other net weights) or deleting it changes no `circuit_id=` result.
+#[test]
+fn path_uploads_do_not_depend_on_the_clients_file() {
+    let dir = std::env::temp_dir().join(format!("prop-serve-path-upload-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let handle = server::start(&ServerConfig {
+        workers: 1,
+        queue_cap: 8,
+        store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let graph = test_graph(5);
+    let mut b = prop_netlist::HypergraphBuilder::new(graph.num_nodes());
+    for net in graph.nets() {
+        b.add_net(2.0, graph.pins_of(net).iter().map(|v| v.index()))
+            .unwrap();
+    }
+    let reweighted = b.build().unwrap();
+    let bytes = hgb::write_hgb(&reweighted);
+    assert_eq!(bytes.len(), hgb::write_hgb(&graph).len());
+
+    let file = dir.join("client.hgb");
+    hgb::write_hgb_file(&graph, &file).unwrap();
+    Client::connect(handle.addr())
+        .unwrap()
+        .upload(&UploadRequest {
+            circuit: "c".into(),
+            fmt: "hgb".into(),
+            payload: None,
+            path: Some(file.to_string_lossy().into_owned()),
+        })
+        .unwrap();
+    let request = SubmitRequest {
+        job: job("prop"),
+        circuit_id: "c".into(),
+        wait: true,
+        ..SubmitRequest::default()
+    };
+    let before = submit_request(handle.addr(), &request);
+    assert_eq!(before, direct_expectation("prop", &graph));
+
+    std::fs::write(&file, &bytes).unwrap(); // in place, not by rename
+    assert_eq!(submit_request(handle.addr(), &request), before, "after overwrite");
+    std::fs::remove_file(&file).unwrap();
+    assert_eq!(submit_request(handle.addr(), &request), before, "after delete");
+
+    Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
