@@ -72,6 +72,6 @@ pub use kway::{
     KwayReport,
 };
 pub use parallel::{check_job_rules, MultiRunReport, ParallelPolicy, RunStatus};
-pub use partition::{Bipartition, Side, SideWeights};
+pub use partition::{assignment_hash, Bipartition, Side, SideWeights};
 pub use partitioner::{GlobalPartitioner, ImproveStats, Partitioner, RunResult};
-pub use prop::{GainInit, NetHot, PassTrace, Prop, PropConfig, SelectionBackend};
+pub use prop::{GainInit, NetHot, PassTrace, Prop, PropConfig};

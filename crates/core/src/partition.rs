@@ -158,6 +158,19 @@ impl Bipartition {
     }
 }
 
+/// FNV-1a 64 over a node→side assignment, one word per node (`0` for
+/// side A, `1` for side B). The daemon reports it so clients can confirm
+/// a bit-identical placement without the whole vector, and the V-cycle
+/// derives its run seeds from it.
+pub fn assignment_hash(sides: &[Side]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &s in sides {
+        hash ^= u64::from(s == Side::B);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
 /// Running totals of node weight per side, maintained alongside a
 /// [`Bipartition`] by the partitioning engines for size-constrained
 /// balance (§1's "size constraints" remark).
@@ -229,6 +242,15 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn assignment_hash_discriminates_and_is_stable() {
+        let a = [Side::A, Side::B, Side::A];
+        let b = [Side::A, Side::A, Side::B];
+        assert_eq!(assignment_hash(&a), assignment_hash(&a));
+        assert_ne!(assignment_hash(&a), assignment_hash(&b));
+        assert_ne!(assignment_hash(&a[..2]), assignment_hash(&a));
+    }
 
     #[test]
     fn from_sides_counts() {

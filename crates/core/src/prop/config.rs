@@ -14,25 +14,6 @@ pub enum GainInit {
     Deterministic,
 }
 
-/// The ordered-gain container the move phase selects from (§3.5 discusses
-/// the ranking structure; all backends produce bit-identical runs —
-/// selection keys are unique, so every ordered container picks the same
-/// node every time).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SelectionBackend {
-    /// Balanced AVL trees, one per side — the structure the paper's
-    /// complexity analysis assumes. Every §3.4 refresh pays two O(log n)
-    /// pointer-chasing rebalancing walks (remove + insert).
-    AvlTree,
-    /// Position-mapped binary max-heaps with eager removal, one per side —
-    /// no dead entries, so a reposition is one in-place sift and the §3.4
-    /// top-k refresh plus the balance probe are read-only best-first walks
-    /// over the flat array. The default: the cheaper per-move constant of
-    /// the two.
-    #[default]
-    IndexedHeap,
-}
-
 /// Parameters of PROP. The defaults are the settings used for every
 /// experiment in the paper (§4): `p_init = p_max = 0.95`, `p_min = 0.4`,
 /// the linear probability function with thresholds `g_up = 1`,
@@ -73,20 +54,6 @@ pub struct PropConfig {
     /// Safety bound on passes per run. The paper observes convergence in
     /// two to four passes; this bound only guards pathological inputs.
     pub max_passes: usize,
-    /// Bound on how many candidates the weighted-balance move selection
-    /// probes per side, walking each gain tree in descending order, before
-    /// declaring the side blocked for this move. `None` (the default)
-    /// scans until a feasible node is found — the exact baseline
-    /// behaviour; a small bound trades a little selection quality for a
-    /// per-move cost independent of tree size on weight-skewed circuits.
-    /// Ignored under count-based (unit-weight) balance, where feasibility
-    /// is per side rather than per node. Must be at least 1 when set.
-    pub balance_probe_depth: Option<usize>,
-    /// Ordered-gain container used by the move phase. All backends make
-    /// bit-identical runs; [`SelectionBackend::IndexedHeap`] (the default)
-    /// has the cheaper per-move constants, the AVL tree is kept selectable
-    /// as the paper's reference structure and for differential testing.
-    pub selection: SelectionBackend,
 }
 
 impl Default for PropConfig {
@@ -101,8 +68,6 @@ impl Default for PropConfig {
             refine_iterations: 2,
             top_k_refresh: 5,
             max_passes: 64,
-            balance_probe_depth: None,
-            selection: SelectionBackend::IndexedHeap,
         }
     }
 }
@@ -153,9 +118,6 @@ impl PropConfig {
         if self.max_passes == 0 {
             return fail("max_passes must be at least 1".into());
         }
-        if self.balance_probe_depth == Some(0) {
-            return fail("balance_probe_depth must be at least 1 when set".into());
-        }
         Ok(())
     }
 
@@ -186,8 +148,6 @@ mod tests {
         assert_eq!(c.refine_iterations, 2);
         assert_eq!(c.top_k_refresh, 5);
         assert_eq!(c.init, GainInit::Uniform);
-        assert_eq!(c.balance_probe_depth, None);
-        assert_eq!(c.selection, SelectionBackend::IndexedHeap);
         c.validate().unwrap();
     }
 
@@ -229,16 +189,6 @@ mod tests {
         bad(|c| c.g_lo = 2.0); // >= g_up
         bad(|c| c.g_up = f64::INFINITY);
         bad(|c| c.max_passes = 0);
-        bad(|c| c.balance_probe_depth = Some(0));
-    }
-
-    #[test]
-    fn bounded_probe_depth_is_legal() {
-        let c = PropConfig {
-            balance_probe_depth: Some(8),
-            ..PropConfig::default()
-        };
-        c.validate().unwrap();
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::cut::CutState;
 use crate::gain::fm_gains;
 use crate::partition::{Bipartition, Side, SideWeights};
 use crate::prof;
-use crate::prop::config::{GainInit, PropConfig, SelectionBackend};
-use prop_dstruct::{AvlTree, HeapKey, IndexedMaxHeap, OrderedF64, PrefixTracker};
+use crate::prop::config::{GainInit, PropConfig};
+use prop_dstruct::{HeapKey, IndexedMaxHeap, OrderedF64, PrefixTracker};
 use prop_netlist::{Hypergraph, NetId, NodeId};
 
 /// Selection key: gain first, then a monotonically increasing *recency
@@ -39,12 +39,12 @@ use prop_netlist::{Hypergraph, NetId, NodeId};
 /// best gain"; among equal gains the most recently (re)inserted node wins,
 /// matching the LIFO tie-breaking of the classic FM bucket structure —
 /// which is known to matter for cut quality. Keys are unique (the id
-/// breaks all remaining ties), so every ordered container over them
-/// selects the same node. Stamps restart at zero each pass (the stores
-/// are cleared and refilled, so no cross-pass key ever compares), which
-/// keeps the key at 16 bytes. The key ends with the node id, so the heap
-/// backend stores it alone ([`HeapKey`]): a 16-byte entry, four per
-/// cache line, instead of a `(key, id)` pair padded to 24.
+/// breaks all remaining ties), so the selection is a total order that the
+/// container-free reference mirror can reproduce. Stamps restart at zero
+/// each pass (the heaps are cleared and refilled, so no cross-pass key
+/// ever compares), which keeps the key at 16 bytes. The key ends with the
+/// node id, so the heap stores it alone ([`HeapKey`]): a 16-byte entry,
+/// four per cache line, instead of a `(key, id)` pair padded to 24.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct GainKey {
     gain: OrderedF64,
@@ -88,14 +88,6 @@ pub struct NetHot {
 // 64-byte cache line.
 const _: () = assert!(std::mem::size_of::<NetHot>() == 32);
 
-/// The ordered-gain container pair (one per side) behind move selection.
-/// All variants rank by [`GainKey`] and are observationally identical;
-/// see [`SelectionBackend`] for the tradeoffs.
-enum GainStore {
-    Avl([AvlTree<GainKey>; 2]),
-    Indexed([IndexedMaxHeap<GainKey>; 2]),
-}
-
 pub(crate) struct Engine<'a> {
     graph: &'a Hypergraph,
     config: &'a PropConfig,
@@ -107,8 +99,11 @@ pub(crate) struct Engine<'a> {
     locked: Vec<bool>,
     /// Per-net packed products / occupancy / weight / tick.
     nets: Vec<NetHot>,
-    /// Unlocked nodes of each side ranked by gain.
-    store: GainStore,
+    /// Unlocked nodes of each side ranked by [`GainKey`]: position-mapped
+    /// max-heaps with eager removal, so a §3.4 reposition is one in-place
+    /// sift and the top-k refresh and the balance probe are read-only
+    /// best-first walks over a flat array.
+    store: [IndexedMaxHeap<GainKey>; 2],
     /// Epoch marks for node de-duplication (dirty-gain sweep in
     /// refinement, neighbor + top-k sweep per move).
     mark: Vec<u32>,
@@ -138,7 +133,7 @@ pub(crate) struct Engine<'a> {
     moves: Vec<NodeId>,
     prefix: PrefixTracker,
     /// Reusable buffer for the §3.4 top-k refresh: the candidate ids are
-    /// snapshotted here before refreshing (refreshes reposition container
+    /// snapshotted here before refreshing (refreshes reposition heap
     /// entries, which would invalidate a live traversal). Kept on the
     /// engine so the per-move hot path never allocates.
     topk_scratch: Vec<u32>,
@@ -161,12 +156,6 @@ impl<'a> Engine<'a> {
                 occupied: [false; 2],
             })
             .collect();
-        let store = match config.selection {
-            SelectionBackend::AvlTree => GainStore::Avl([AvlTree::new(), AvlTree::new()]),
-            SelectionBackend::IndexedHeap => {
-                GainStore::Indexed([IndexedMaxHeap::with_ids(n), IndexedMaxHeap::with_ids(n)])
-            }
-        };
         Engine {
             graph,
             config,
@@ -175,7 +164,7 @@ impl<'a> Engine<'a> {
             gain: vec![0.0; n],
             locked: vec![false; n],
             nets,
-            store,
+            store: [IndexedMaxHeap::with_ids(n), IndexedMaxHeap::with_ids(n)],
             mark: vec![0; n],
             epoch: 0,
             net_mark: vec![0; e],
@@ -200,9 +189,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Stamps `v` and inserts its key into side `side_index`'s container,
-    /// superseding any key `v` already holds there (the AVL caller removes
-    /// the old key first, the indexed heap repositions in place).
+    /// Stamps `v` and inserts its key into side `side_index`'s heap,
+    /// repositioning in place any key `v` already holds there.
     fn store_insert(&mut self, v: NodeId, side_index: usize) {
         self.next_stamp = self
             .next_stamp
@@ -210,18 +198,11 @@ impl<'a> Engine<'a> {
             .expect("more than u32::MAX store insertions in one pass");
         self.stamp[v.index()] = self.next_stamp;
         let key = self.key_of(v);
-        match &mut self.store {
-            GainStore::Avl(trees) => {
-                let inserted = trees[side_index].insert(key);
-                debug_assert!(inserted, "duplicate selection key");
-            }
-            GainStore::Indexed(heaps) => {
-                if heaps[side_index].contains(v.index()) {
-                    heaps[side_index].update(key);
-                } else {
-                    heaps[side_index].insert(key);
-                }
-            }
+        let heap = &mut self.store[side_index];
+        if heap.contains(v.index()) {
+            heap.update(key);
+        } else {
+            heap.insert(key);
         }
     }
 
@@ -287,11 +268,8 @@ impl<'a> Engine<'a> {
             });
         });
 
-        match &mut self.store {
-            GainStore::Avl(trees) => trees.iter_mut().for_each(AvlTree::clear),
-            GainStore::Indexed(heaps) => heaps.iter_mut().for_each(IndexedMaxHeap::clear),
-        }
-        // Stamps restart each pass: the stores were just cleared, so no
+        self.store.iter_mut().for_each(IndexedMaxHeap::clear);
+        // Stamps restart each pass: the heaps were just cleared, so no
         // key from an earlier pass can ever be compared against, and the
         // relative order of this pass's stamps is all that matters.
         self.next_stamp = 0;
@@ -503,78 +481,39 @@ impl<'a> Engine<'a> {
     /// destination within the pass-relaxed balance bound; when the global
     /// best is blocked, the best node of the other side is taken. Under a
     /// size-constrained balance the scan walks each side's ranking in
-    /// descending gain order until a node that fits is found, giving up
-    /// after [`PropConfig::balance_probe_depth`] candidates when that
-    /// bound is set (unbounded by default, preserving the exact baseline
-    /// choice). On the indexed backend the walk is a read-only best-first
-    /// descent. Both backends see the identical candidate sequence.
+    /// descending gain order, read-only and best-first, until a node that
+    /// fits is found.
     fn select_move(&mut self, partition: &Bipartition) -> Option<NodeId> {
         let counts = [partition.count(Side::A), partition.count(Side::B)];
         let weights = self.side_weights.as_array();
         let graph = self.graph;
         let balance = self.balance;
-        let probe_limit = self.config.balance_probe_depth.unwrap_or(usize::MAX);
         let mut best: Option<GainKey> = None;
         let consider = |key: GainKey, best: &mut Option<GainKey>| {
             if best.is_none_or(|b| key > b) {
                 *best = Some(key);
             }
         };
-        match &mut self.store {
-            GainStore::Avl(trees) => {
-                for (si, tree) in trees.iter().enumerate() {
-                    let side = Side::from_index(si);
-                    if !balance.is_weighted() {
-                        // Count-based feasibility is per side, not per node.
-                        if !balance.allows_move(side, counts[0], counts[1]) {
-                            continue;
-                        }
-                        if let Some(&key) = tree.max() {
-                            consider(key, &mut best);
-                        }
-                        continue;
-                    }
-                    for (probed, &key) in tree.iter_desc().enumerate() {
-                        if probed >= probe_limit {
-                            break;
-                        }
-                        let v = NodeId::new(key.id());
-                        if balance.allows_node_move(side, counts, weights, graph.node_weight(v))
-                        {
-                            consider(key, &mut best);
-                            break;
-                        }
-                    }
+        for (si, heap) in self.store.iter_mut().enumerate() {
+            let side = Side::from_index(si);
+            if !balance.is_weighted() {
+                // Count-based feasibility is per side, not per node.
+                if !balance.allows_move(side, counts[0], counts[1]) {
+                    continue;
                 }
-            }
-            GainStore::Indexed(heaps) => {
-                for (si, heap) in heaps.iter_mut().enumerate() {
-                    let side = Side::from_index(si);
-                    if !balance.is_weighted() {
-                        if !balance.allows_move(side, counts[0], counts[1]) {
-                            continue;
-                        }
-                        if let Some(key) = heap.peek() {
-                            consider(key, &mut best);
-                        }
-                        continue;
-                    }
-                    // Read-only probe in exact descending order — every
-                    // entry is live, so the candidate sequence equals the
-                    // AVL traversal's.
-                    let mut probed = 0;
-                    heap.descend(|key| {
-                        probed += 1;
-                        let v = NodeId::new(key.id());
-                        if balance.allows_node_move(side, counts, weights, graph.node_weight(v))
-                        {
-                            consider(key, &mut best);
-                            return false;
-                        }
-                        probed < probe_limit
-                    });
+                if let Some(key) = heap.peek() {
+                    consider(key, &mut best);
                 }
+                continue;
             }
+            heap.descend(|key| {
+                let v = NodeId::new(key.id());
+                if balance.allows_node_move(side, counts, weights, graph.node_weight(v)) {
+                    consider(key, &mut best);
+                    return false;
+                }
+                true
+            });
         }
         best.map(|key| NodeId::new(key.id()))
     }
@@ -591,17 +530,8 @@ impl<'a> Engine<'a> {
         let t = prof::start();
         let graph = self.graph;
         let from = partition.side(u);
-        let key = self.key_of(u);
-        match &mut self.store {
-            GainStore::Avl(trees) => {
-                let removed = trees[from.index()].remove(&key);
-                debug_assert!(removed, "selected node missing from its tree");
-            }
-            GainStore::Indexed(heaps) => {
-                let removed = heaps[from.index()].remove(u.index());
-                debug_assert!(removed.is_some(), "selected node missing from its heap");
-            }
-        }
+        let removed = self.store[from.index()].remove(u.index());
+        debug_assert!(removed.is_some(), "selected node missing from its heap");
 
         let immediate = cut.apply_move(graph, partition, u);
         self.side_weights.apply_move(from, graph.node_weight(u));
@@ -645,27 +575,20 @@ impl<'a> Engine<'a> {
         // refreshed at most once per move; the ones we do refresh take the
         // mark, keeping the guarantee across both sides' top-k lists. The
         // ids are snapshotted into the reusable scratch buffer because
-        // refreshing repositions container entries under a live traversal.
+        // refreshing repositions heap entries under a live traversal.
         let k = self.config.top_k_refresh;
         if k > 0 {
             let mut top = std::mem::take(&mut self.topk_scratch);
             for si in 0..2 {
                 top.clear();
-                match &mut self.store {
-                    GainStore::Avl(trees) => {
-                        top.extend(trees[si].iter_desc().take(k).map(|key| key.node));
-                    }
-                    GainStore::Indexed(heaps) => {
-                        // Read-only best-first walk — no dead entries, no
-                        // restore sifts.
-                        let mut left = k;
-                        heaps[si].descend(|key| {
-                            top.push(key.node);
-                            left -= 1;
-                            left > 0
-                        });
-                    }
-                }
+                // Read-only best-first walk: no dead entries, no restore
+                // sifts.
+                let mut left = k;
+                self.store[si].descend(|key| {
+                    top.push(key.node);
+                    left -= 1;
+                    left > 0
+                });
                 for &id in &top {
                     let x = NodeId::new(id as usize);
                     if self.mark[x.index()] != self.epoch {
@@ -729,12 +652,7 @@ impl<'a> Engine<'a> {
         self.node_tick[x.index()] = self.clock;
         let si = partition.side(x).index();
         if new_gain != self.gain[x.index()] {
-            let old_key = self.key_of(x);
-            if let GainStore::Avl(trees) = &mut self.store {
-                let removed = trees[si].remove(&old_key);
-                debug_assert!(removed, "refreshed node missing from its tree");
-            }
-            // Indexed heap: `store_insert` repositions the entry in place.
+            // `store_insert` repositions the heap entry in place.
             self.gain[x.index()] = new_gain;
             self.store_insert(x, si);
         }
@@ -803,7 +721,7 @@ mod tests {
 
     /// The dirty-net refinement iterations must leave exactly the state a
     /// full-sweep fixed point would: same probabilities, same products,
-    /// same gains, bit-for-bit — on both selection backends.
+    /// same gains, bit-for-bit.
     #[test]
     fn dirty_refinement_matches_full_sweeps() {
         let graph = generate(&GeneratorConfig::new(120, 140, 470).with_seed(91)).unwrap();
@@ -1038,37 +956,6 @@ mod tests {
                 "{short} ticks short of the wrap never wrapped"
             );
             assert_eq!(result, fresh, "{short} ticks short of the wrap");
-        }
-    }
-
-    /// Both selection backends must produce bit-identical passes: same
-    /// moves, same commit, same final partition and cut.
-    #[test]
-    fn selection_backends_are_bit_identical() {
-        let graph = generate(&GeneratorConfig::new(150, 170, 580).with_seed(66)).unwrap();
-        let balance = BalanceConstraint::new(0.45, 0.55, 150).unwrap();
-        for seed in 0..4u64 {
-            let mut results = Vec::new();
-            for selection in [SelectionBackend::AvlTree, SelectionBackend::IndexedHeap] {
-                let config = PropConfig {
-                    selection,
-                    ..PropConfig::default()
-                };
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut partition = Bipartition::random(150, &mut rng);
-                let mut cut = CutState::new(&graph, &partition);
-                let mut engine = Engine::new(&graph, &config, balance);
-                let mut passes = Vec::new();
-                loop {
-                    let (committed, trace) = engine.run_pass(&mut partition, &mut cut);
-                    passes.push((engine.moves.clone(), trace));
-                    if committed <= 0.0 {
-                        break;
-                    }
-                }
-                results.push((partition, cut.cut_cost(), passes));
-            }
-            assert_eq!(results[0], results[1], "avl vs indexed heap, seed {seed}");
         }
     }
 }

@@ -14,17 +14,17 @@
 //!    gain of every move feeds a prefix tracker; the best feasible prefix
 //!    is committed (steps 9–10), everything beyond it is rolled back.
 //!
-//! Nodes are ranked per side in an ordered gain store keyed by
-//! `(gain, recency, node)` — either the AVL tree the paper's complexity
-//! analysis (§3.5) assumes, or a faster indexed max-heap producing
-//! bit-identical runs (see [`SelectionBackend`]). Per-net hot state is
-//! packed into [`NetHot`] records so the gain inner loop is one
-//! sequential read per incident net.
+//! Nodes are ranked per side in an indexed max-heap keyed by
+//! `(gain, recency, node)`. The paper's complexity analysis (§3.5)
+//! assumes an AVL tree; the heap gives the same order at a smaller
+//! per-move constant (DESIGN.md §10). Per-net hot state is packed into
+//! [`NetHot`] records so the gain inner loop is one sequential read per
+//! incident net.
 
 mod config;
 mod engine;
 
-pub use config::{GainInit, PropConfig, SelectionBackend};
+pub use config::{GainInit, PropConfig};
 pub use engine::NetHot;
 
 use crate::balance::BalanceConstraint;

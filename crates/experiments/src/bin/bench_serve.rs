@@ -25,8 +25,7 @@ use prop_engines::{EngineName, EngineSpec, Job};
 use prop_experiments::{git_rev, Options};
 use prop_netlist::{format, suite};
 use prop_serve::{
-    engine, server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, SubmitRequest,
-    UploadRequest,
+    server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, SubmitRequest, UploadRequest,
 };
 use std::time::Instant;
 
@@ -261,7 +260,7 @@ fn main() {
             .run_multi(&graph, balance, runs, 0)
             .expect("non-empty graph");
         let direct_s = start.elapsed().as_secs_f64();
-        let direct_hash = engine::assignment_hash(direct.partition.sides());
+        let direct_hash = prop_core::assignment_hash(direct.partition.sides());
 
         let mut client = Client::connect(handle.addr()).expect("connect to daemon");
         let start = Instant::now();

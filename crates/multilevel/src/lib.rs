@@ -81,8 +81,9 @@ pub mod coarsen;
 use coarsen::{coarsen, CoarseLevel};
 use prop_core::prof::{self, Phase};
 use prop_core::{
-    cancel, BalanceConstraint, Bipartition, CutState, GlobalPartitioner, ImproveStats,
-    ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig, RunResult, Side, SideWeights,
+    assignment_hash, cancel, BalanceConstraint, Bipartition, CutState, GlobalPartitioner,
+    ImproveStats, ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig, RunResult, Side,
+    SideWeights,
 };
 use prop_netlist::Hypergraph;
 pub use prop_flow::FlowConfig;
@@ -611,7 +612,11 @@ impl<P: Partitioner> Partitioner for Multilevel<P> {
         balance: BalanceConstraint,
     ) -> ImproveStats {
         let incoming_cut = CutState::new(graph, partition).cut_cost();
-        let run_seed = stream_seed(self.config.seed, SeedStream::Run, side_hash(partition));
+        let run_seed = stream_seed(
+            self.config.seed,
+            SeedStream::Run,
+            assignment_hash(partition.sides()),
+        );
         match self.vcycle(graph, balance, run_seed) {
             Ok(run) if run.cut <= incoming_cut && is_feasible(balance, graph, &run.partition) => {
                 *partition = run.partition;
@@ -635,16 +640,6 @@ impl<P: Partitioner> Partitioner for Multilevel<P> {
             },
         }
     }
-}
-
-/// FNV-1a 64 over the assignment, one byte per node.
-fn side_hash(partition: &Bipartition) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &s in partition.sides() {
-        hash ^= u64::from(s == Side::B);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Strict feasibility of a committed partition under `balance`, counting
@@ -679,26 +674,33 @@ fn greedy_start<R: Rng + ?Sized>(
     }
 }
 
-/// A greedy weight-balanced bisection: nodes in random order, heaviest
-/// concerns resolved by always placing on the lighter side. Guarantees a
-/// side-weight difference of at most the largest node weight.
-fn greedy_weighted_bisection<R: Rng + ?Sized>(graph: &Hypergraph, rng: &mut R) -> Bipartition {
+/// The placement order of both greedy starts: a Fisher–Yates shuffle
+/// (one `gen_range` draw per node above the first), then a stable sort
+/// heaviest-first, so the final imbalance is bounded by the *smallest*
+/// weights, not the largest, and equal weights keep the shuffled order.
+fn greedy_order<R: Rng + ?Sized>(graph: &Hypergraph, rng: &mut R) -> Vec<usize> {
     let n = graph.num_nodes();
     let mut order: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
         order.swap(i, rng.gen_range(0..=i));
     }
-    // Place heavier nodes first so the final imbalance is bounded by the
-    // *smallest* weights, not the largest.
     order.sort_by(|&a, &b| {
         graph
             .node_weight(prop_netlist::NodeId::new(b))
             .partial_cmp(&graph.node_weight(prop_netlist::NodeId::new(a)))
             .expect("finite node weights")
     });
+    order
+}
+
+/// A greedy weight-balanced bisection: nodes in random order, heaviest
+/// concerns resolved by always placing on the lighter side. Guarantees a
+/// side-weight difference of at most the largest node weight.
+fn greedy_weighted_bisection<R: Rng + ?Sized>(graph: &Hypergraph, rng: &mut R) -> Bipartition {
+    let n = graph.num_nodes();
     let mut sides = vec![Side::A; n];
     let mut weight = [0.0f64; 2];
-    for &v in &order {
+    for v in greedy_order(graph, rng) {
         let side = if weight[0] <= weight[1] { Side::A } else { Side::B };
         sides[v] = side;
         weight[side.index()] += graph.node_weight(prop_netlist::NodeId::new(v));
@@ -718,19 +720,9 @@ fn greedy_budgeted_bisection<R: Rng + ?Sized>(
     caps: [f64; 2],
 ) -> Bipartition {
     let n = graph.num_nodes();
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        order.swap(i, rng.gen_range(0..=i));
-    }
-    order.sort_by(|&a, &b| {
-        graph
-            .node_weight(prop_netlist::NodeId::new(b))
-            .partial_cmp(&graph.node_weight(prop_netlist::NodeId::new(a)))
-            .expect("finite node weights")
-    });
     let mut sides = vec![Side::A; n];
     let mut weight = [0.0f64; 2];
-    for &v in &order {
+    for v in greedy_order(graph, rng) {
         let side = if caps[0] - weight[0] >= caps[1] - weight[1] {
             Side::A
         } else {

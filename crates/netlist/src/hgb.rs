@@ -951,7 +951,8 @@ pub fn peek_stats(bytes: &[u8]) -> Result<HgbStats, NetlistError> {
 /// How an [`HgbFile`]'s bytes are backed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LoadMode {
-    /// `mmap(2)`-backed: the load was O(header), pages fault in on use.
+    /// `mmap(2)`-backed: mapping the file is O(header) and pages fault
+    /// in on use, but the load's validation still reads every section.
     Mmap,
     /// Buffered read into an aligned heap buffer (non-unix, empty file,
     /// or a refused mapping).

@@ -347,8 +347,7 @@ pub fn merge(spec: &BatchRequest, jobs: &[SubJob], outcomes: &[SubJobOutcome]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine;
-    use prop_core::{CancelToken, MultiRunReport, ParallelPolicy};
+    use prop_core::{assignment_hash, CancelToken, MultiRunReport, ParallelPolicy};
     use prop_engines::JobReport;
     use prop_netlist::generate::{generate, GeneratorConfig};
 
@@ -425,9 +424,7 @@ mod tests {
                         ),
                         passes: report.result.total_passes,
                         run_cuts: report.result.run_cuts.clone(),
-                        assignment_hash: engine::assignment_hash(
-                            report.result.partition.sides(),
-                        ),
+                        assignment_hash: assignment_hash(report.result.partition.sides()),
                     }
                 })
                 .collect();
@@ -439,7 +436,7 @@ mod tests {
                 assert_eq!(got.run_cuts, direct.result.run_cuts, "chunk={chunk} group={g}");
                 assert_eq!(
                     got.assignment_hash,
-                    engine::assignment_hash(direct.result.partition.sides()),
+                    assignment_hash(direct.result.partition.sides()),
                     "chunk={chunk} group={g}"
                 );
                 assert_eq!(got.passes, direct.result.total_passes);

@@ -683,7 +683,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                             ),
                             passes: result.total_passes,
                             run_cuts: result.run_cuts,
-                            assignment_hash: Some(engine::assignment_hash(
+                            assignment_hash: Some(prop_core::assignment_hash(
                                 result.partition.sides(),
                             )),
                             started_runs: report.started_runs,

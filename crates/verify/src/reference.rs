@@ -4,9 +4,9 @@
 //! incremental PROP engine — the Fig.-2 schedule, the §3.2 probability
 //! map, the §3.4 neighbor + top-k refresh, the `(gain, recency, id)`
 //! selection order, the prefix commit — but with none of its machinery:
-//! no AVL trees (selection is a linear scan), no incremental cut state
-//! (immediate gains come from direct pin counts), no prefix tracker (a
-//! naive scan), no epoch marks (a fresh visited vector per move).
+//! no heaps (selection sorts the unlocked nodes), no incremental cut
+//! state (immediate gains come from direct pin counts), no prefix tracker
+//! (a naive scan), no epoch marks (a fresh visited vector per move).
 //!
 //! Floating-point evaluation *order* is mirrored deliberately, including
 //! the engine's divide-by-`p(u)` gain form and its ratio-based product
@@ -25,7 +25,7 @@ use prop_core::{
 use prop_dstruct::OrderedF64;
 use prop_netlist::{Hypergraph, NetId, NodeId};
 
-/// Selection key, ordered exactly like the engine's AVL key: gain first,
+/// Selection key, ordered exactly like the engine's heap key: gain first,
 /// then the recency stamp (most recently re-gained wins — bucket LIFO),
 /// then the node id.
 type Key = (OrderedF64, u64, u32);
@@ -293,8 +293,8 @@ impl RefState {
         }
     }
 
-    /// Unlocked nodes of `side` in descending key order — the linear-scan
-    /// stand-in for the engine's AVL `iter_desc`.
+    /// Unlocked nodes of `side` in descending key order — the sorted
+    /// stand-in for the engine's best-first heap walk.
     fn ranked(&self, partition: &Bipartition, side: Side) -> Vec<usize> {
         let mut nodes: Vec<usize> = (0..self.p.len())
             .filter(|&v| !self.locked[v] && partition.side(NodeId::new(v)) == side)
@@ -354,8 +354,7 @@ fn run_reference_pass(
     let mut immediate_gains: Vec<f64> = Vec::new();
     let mut feasible: Vec<bool> = Vec::new();
     let mut moves: Vec<NodeId> = Vec::new();
-    while let Some(u) = select_reference_move(graph, partition, balance, &side_weights, state, config)
-    {
+    while let Some(u) = select_reference_move(graph, partition, balance, &side_weights, state) {
         let from = partition.side(u);
         let immediate = immediate_gain_and_flip(graph, partition, u);
         side_weights.apply_move(from, graph.node_weight(u));
@@ -430,14 +429,13 @@ fn run_reference_pass(
 
 /// Step 6, mirrored: the best key over both sides whose move the balance
 /// allows, with the same per-side blocking rules and the same
-/// `balance_probe_depth` cap on the weighted scan.
+/// unbounded descending scan under weighted balance.
 fn select_reference_move(
     graph: &Hypergraph,
     partition: &Bipartition,
     balance: BalanceConstraint,
     side_weights: &SideWeights,
     state: &RefState,
-    config: &PropConfig,
 ) -> Option<NodeId> {
     let counts = [partition.count(Side::A), partition.count(Side::B)];
     let weights = side_weights.as_array();
@@ -457,13 +455,8 @@ fn select_reference_move(
             }
             continue;
         }
-        let probe_limit = config.balance_probe_depth.unwrap_or(usize::MAX);
-        for (probed, &v) in ranked.iter().enumerate() {
-            if probed >= probe_limit {
-                break;
-            }
-            if balance.allows_node_move(side, counts, weights, graph.node_weight(NodeId::new(v)))
-            {
+        for &v in &ranked {
+            if balance.allows_node_move(side, counts, weights, graph.node_weight(NodeId::new(v))) {
                 let key = state.key_of(v);
                 if best.is_none_or(|b| key > b) {
                     best = Some(key);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, test, lint. Run from the repo root.
 #
-#   scripts/check.sh                # tier-1 gates only (build, root,
-#                                   # CLI, netlist and serve crate tests,
+#   scripts/check.sh                # tier-1 gates only (build, every
+#                                   # workspace crate's tests,
 #                                   # clippy over every
 #                                   # target (tests included), and a build
 #                                   # of benchmark/ and benchmark/trace/
@@ -108,13 +108,12 @@ for arg in "$@"; do
 done
 
 cargo build --release
-cargo test -q
-# The CLI crate's own tests, including the closed-stdout test that spawns
-# the built `prop`.
-cargo test -q -p prop-cli
-# The graph storage, the .hgb loader (unit tests and the adversarial
-# fuzzer) and the daemon's circuit store live in these crates.
-cargo test -q -p prop-netlist -p prop-serve
+# Every crate's tests: the root package's integration tests plus each
+# member crate's unit, integration and doc tests (the PROP engine, the
+# containers' model tests, the reference mirror, the CLI's closed-stdout
+# test that spawns the built `prop`, the .hgb loader and its fuzzer, the
+# daemon's circuit store).
+cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark is two workspaces of its own with path dependencies on
 # crates/: build both and run bench's unit tests, so an API or CLI change

@@ -14,9 +14,7 @@ use prop_engines::EngineName;
 use prop_fm::FmBucket;
 use prop_netlist::format;
 use prop_netlist::generate::{generate, GeneratorConfig};
-use prop_serve::{
-    engine, server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, UploadRequest,
-};
+use prop_serve::{server, BatchRequest, Client, ClusterConfig, Json, ServerConfig, UploadRequest};
 use std::time::Duration;
 
 const RUNS: usize = 4;
@@ -38,7 +36,7 @@ fn direct_group(engine_name: &str, graph: &prop_netlist::Hypergraph) -> (f64, Ve
             .unwrap(),
         other => panic!("unexpected engine {other}"),
     };
-    let hash = engine::assignment_hash(result.partition.sides());
+    let hash = prop_core::assignment_hash(result.partition.sides());
     (result.cut_cost, result.run_cuts, hash)
 }
 

@@ -136,14 +136,14 @@ fn every_iterative_engine_is_identical_through_library_cli_and_daemon() {
         let expect = (
             direct.cut_cost,
             direct.run_cuts.clone(),
-            engine::assignment_hash(direct.partition.sides()),
+            prop_core::assignment_hash(direct.partition.sides()),
         );
         for threads in CLI_THREADS {
             let cli = two_way(cli_run(&graph, name.as_str(), &[], threads)).result;
             let cli = (
                 cli.cut_cost,
                 cli.run_cuts,
-                engine::assignment_hash(cli.partition.sides()),
+                prop_core::assignment_hash(cli.partition.sides()),
             );
             assert_eq!(cli, expect, "{name} --threads {threads:?}: CLI vs library");
         }

@@ -43,7 +43,7 @@ fn direct_expectation(engine_name: &str, graph: &prop_netlist::Hypergraph) -> (f
         .unwrap(),
         other => panic!("unexpected engine {other}"),
     };
-    let hash = engine::assignment_hash(result.partition.sides());
+    let hash = prop_core::assignment_hash(result.partition.sides());
     (result.cut_cost, result.run_cuts, hash)
 }
 
@@ -330,7 +330,7 @@ fn ml_coarsest_below_two_acts_as_two_through_the_daemon() {
         (
             direct.cut_cost,
             direct.run_cuts,
-            engine::assignment_hash(direct.partition.sides())
+            prop_core::assignment_hash(direct.partition.sides())
         )
     );
     for ml_coarsest in [0, 1] {
