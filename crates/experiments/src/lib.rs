@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod methods;
+pub mod paper;
 pub mod report;
 
 use prop_core::ParallelPolicy;

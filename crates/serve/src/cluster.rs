@@ -107,7 +107,9 @@ pub struct BatchState {
     id: u64,
     spec: BatchRequest,
     jobs: Vec<SubJob>,
-    snapshot: Arc<Vec<u8>>,
+    /// The circuit's `.hgb` image for pushes to workers; `seal` drops
+    /// it, so a finished batch kept in the table holds no circuit copy.
+    snapshot: Mutex<Option<Arc<Vec<u8>>>>,
     token: CancelToken,
     queue: Mutex<VecDeque<usize>>,
     attempts: Mutex<Vec<u32>>,
@@ -136,7 +138,7 @@ impl BatchState {
             id,
             spec,
             jobs,
-            snapshot: Arc::new(snapshot),
+            snapshot: Mutex::new(Some(Arc::new(snapshot))),
             token: CancelToken::new(),
             queue: Mutex::new((0..n).collect()),
             attempts: Mutex::new(vec![0; n]),
@@ -156,6 +158,11 @@ impl BatchState {
     /// Number of planned sub-jobs.
     pub fn sub_jobs(&self) -> usize {
         self.jobs.len()
+    }
+
+    /// The circuit snapshot, or `None` once the batch is sealed.
+    fn snapshot(&self) -> Option<Arc<Vec<u8>>> {
+        self.snapshot.lock().expect("batch snapshot lock").clone()
     }
 
     fn completed_count(&self) -> usize {
@@ -246,7 +253,7 @@ impl BatchState {
     }
 
     /// Publishes the terminal view, wakes waiters, runs the completion
-    /// hook (circuit unpin).
+    /// hook (circuit unpin) and releases the circuit snapshot.
     fn seal(&self, view: Json) {
         // Run the on-done hook (the circuit unpin) before the terminal
         // event becomes observable: a client that saw the batch finish
@@ -256,6 +263,9 @@ impl BatchState {
         }
         *self.final_view.lock().expect("batch final view lock") = Some(view.clone());
         self.append(view, true);
+        // Dropped after `done` is set: a dispatcher that finds the
+        // snapshot gone also sees the batch terminal.
+        self.snapshot.lock().expect("batch snapshot lock").take();
     }
 }
 
@@ -582,6 +592,9 @@ fn dispatcher(inner: &Arc<Inner>, batch: &Arc<BatchState>, worker: &Arc<WorkerSt
             }
             Err(message) => {
                 batch.inflight.lock().expect("batch inflight lock").remove(&idx);
+                if batch.done.load(Ordering::Acquire) {
+                    return; // a terminal batch reschedules nothing
+                }
                 if batch.token.is_cancelled() || inner.stop.is_cancelled() {
                     finalize_cancelled(inner, batch);
                     return;
@@ -643,8 +656,13 @@ fn run_sub_job(
         .lock()
         .expect("worker circuit set lock")
         .contains(circuit);
+    // The snapshot is gone only once the batch is sealed; the
+    // dispatcher stops on the error without rescheduling.
+    let snapshot = batch
+        .snapshot()
+        .ok_or_else(|| "batch already finished".to_string())?;
     if !known {
-        push_circuit(&mut client, worker, circuit, &batch.snapshot)?;
+        push_circuit(&mut client, worker, circuit, &snapshot)?;
     }
     let mut request = batch.jobs[idx].request.clone();
     request.wait = false;
@@ -656,7 +674,7 @@ fn run_sub_job(
             .lock()
             .expect("worker circuit set lock")
             .remove(circuit);
-        push_circuit(&mut client, worker, circuit, &batch.snapshot)?;
+        push_circuit(&mut client, worker, circuit, &snapshot)?;
         resp = client.submit(&request).map_err(|e| e.to_string())?;
     }
     if resp.get("ok").and_then(Json::as_bool) != Some(true) {
@@ -990,6 +1008,24 @@ mod tests {
         assert_eq!(count.load(Ordering::SeqCst), 1);
         assert!(batch.final_view().is_some());
         assert_eq!(batch.wait_view().get("event").and_then(Json::as_str), Some("done"));
+    }
+
+    #[test]
+    fn sealed_batch_releases_its_circuit_snapshot() {
+        let batch = BatchState::new(
+            2,
+            BatchRequest {
+                circuit_id: "c".into(),
+                ..BatchRequest::default()
+            },
+            vec![7; 4096],
+            Box::new(|| {}),
+        );
+        assert_eq!(batch.snapshot().map(|s| s.len()), Some(4096));
+        assert!(batch.try_finalize());
+        batch.seal(json::obj(vec![("event", json::str("done"))]));
+        assert!(batch.snapshot().is_none(), "a sealed batch holds no .hgb copy");
+        assert!(batch.final_view().is_some());
     }
 
     #[test]

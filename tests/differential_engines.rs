@@ -74,24 +74,36 @@ fn prop_matches_reference_with_calibrated_profile_and_ratio_balance() {
     }
 }
 
+/// Both profiles: the paper's (two refinement sweeps, a top-5 refresh
+/// per move) and the calibrated one, which refreshes only the moved
+/// node's neighbours.
 #[test]
 fn prop_traces_match_reference_pass_for_pass() {
+    use prop_suite::core::Bipartition;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     let balance = BalanceConstraint::bisection(72);
-    let fast = Prop::new(PropConfig::default());
-    let slow = ReferenceProp::new(PropConfig::default());
-    for seed in SEEDS.into_iter().take(4) {
-        let g = circuit(seed);
-        // Same seeded initial partition for both, via the shared harness.
-        let mut pa = fast.run_seeded(&g, balance, seed).unwrap().partition;
-        let mut pb = pa.clone();
-        // Drive both from the *result* partition too (a local minimum):
-        // traces must both be a single non-improving pass.
-        let (sa, ta) = fast.improve_traced(&g, &mut pa, balance);
-        let (sb, tb) = slow.improve_traced(&g, &mut pb, balance);
-        assert_eq!(ta, tb, "seed {seed}: pass traces diverged");
-        assert_eq!(sa.passes, sb.passes, "seed {seed}");
-        assert_eq!(sa.cut_cost, sb.cut_cost, "seed {seed}");
-        assert_eq!(pa, pb, "seed {seed}");
+    for cfg in [PropConfig::default(), PropConfig::calibrated()] {
+        let fast = Prop::new(cfg.clone());
+        let slow = ReferenceProp::new(cfg.clone());
+        for seed in SEEDS.into_iter().take(4) {
+            let g = circuit(seed);
+            // Drive both from a random start (a multi-pass trace) and
+            // from the harness's result partition (a local minimum:
+            // one non-improving pass).
+            let random = Bipartition::random(g.num_nodes(), &mut StdRng::seed_from_u64(seed));
+            let result = fast.run_seeded(&g, balance, seed).unwrap().partition;
+            for start in [random, result] {
+                let mut pa = start.clone();
+                let mut pb = start;
+                let (sa, ta) = fast.improve_traced(&g, &mut pa, balance);
+                let (sb, tb) = slow.improve_traced(&g, &mut pb, balance);
+                assert_eq!(ta, tb, "{cfg:?} seed {seed}: pass traces diverged");
+                assert_eq!(sa.passes, sb.passes, "{cfg:?} seed {seed}");
+                assert_eq!(sa.cut_cost, sb.cut_cost, "{cfg:?} seed {seed}");
+                assert_eq!(pa, pb, "{cfg:?} seed {seed}");
+            }
+        }
     }
 }
 

