@@ -141,7 +141,7 @@ if [[ "$audit" -eq 1 ]]; then
 fi
 
 if [[ "$paper" -eq 1 ]]; then
-  # The full-suite arm of tests/paper_claims.rs (about two minutes in
+  # The full-suite arm of tests/paper_claims.rs (about 90 s in
   # release); tier-1 above already ran its quick arm.
   cargo test --release -q --test paper_claims -- --ignored
 fi
@@ -587,4 +587,5 @@ gates="build+test+clippy"
 [[ "$io" -eq 1 ]] && gates="$gates io"
 [[ "$cluster" -eq 1 ]] && gates="$gates cluster"
 [[ "$kway" -eq 1 ]] && gates="$gates kway"
+[[ "$paper" -eq 1 ]] && gates="$gates paper"
 echo "check.sh: all gates passed ($gates)"
